@@ -38,7 +38,7 @@ use crate::fork::{
 use crate::qgram::QGramIndex;
 use alae_bioseq::guard::{GuardProbe, SearchGuard, Termination};
 use alae_bioseq::hits::{AlignmentHit, HitMap};
-use alae_bioseq::{Alphabet, Sequence, SequenceDatabase};
+use alae_bioseq::{Alphabet, SequenceDatabase};
 use alae_suffix::{IndexOptions, SuffixTrieCursor, TextIndex};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -71,10 +71,13 @@ pub struct AlaeResult {
 
 /// The ALAE aligner: a compressed-suffix-array text index, the offline
 /// domination index, and a configuration.
+///
+/// Cloning is cheap: the text index and the domination index are shared
+/// behind `Arc`s.
 #[derive(Debug, Clone)]
 pub struct AlaeAligner {
     index: Arc<TextIndex>,
-    domination: Option<DominationIndex>,
+    domination: Option<Arc<DominationIndex>>,
     alphabet: Alphabet,
     config: AlaeConfig,
 }
@@ -93,20 +96,49 @@ impl AlaeAligner {
         Self::with_index(index, database.alphabet(), config)
     }
 
-    /// Build the aligner around an existing (possibly shared) text index.
+    /// Build the aligner around an existing (possibly shared) text index,
+    /// building its own domination index when the filter is enabled.
     pub fn with_index(index: Arc<TextIndex>, alphabet: Alphabet, config: AlaeConfig) -> Self {
-        let domination = if config.filters.domination_filter {
-            Some(DominationIndex::build(
+        let domination = config.filters.domination_filter.then(|| {
+            Arc::new(DominationIndex::build(
                 index.text(),
                 config.scheme.q(),
                 alphabet.code_count(),
             ))
-        } else {
-            None
-        };
+        });
         Self {
             index,
             domination,
+            alphabet,
+            config,
+        }
+    }
+
+    /// Build the aligner around an existing text index and a domination
+    /// index built once for it (the "constructing dominations offline" of
+    /// Section 3.2.2), so constructing an aligner costs two `Arc` clones.
+    ///
+    /// `domination` must have been built over `index.text()` with gram
+    /// length `config.scheme.q()`.  It is dropped when the configuration
+    /// disables the domination filter.
+    ///
+    /// # Panics
+    ///
+    /// When `domination` was built for a different `q`.
+    pub fn with_domination(
+        index: Arc<TextIndex>,
+        alphabet: Alphabet,
+        config: AlaeConfig,
+        domination: Arc<DominationIndex>,
+    ) -> Self {
+        assert_eq!(
+            domination.q(),
+            config.scheme.q(),
+            "domination index built for another q"
+        );
+        Self {
+            index,
+            domination: config.filters.domination_filter.then_some(domination),
             alphabet,
             config,
         }
@@ -132,20 +164,8 @@ impl AlaeAligner {
     /// series of Figure 11); zero when the filter is disabled.
     pub fn domination_index_size_bytes(&self) -> usize {
         self.domination
-            .as_ref()
+            .as_deref()
             .map_or(0, DominationIndex::size_in_bytes)
-    }
-
-    /// Align a query [`Sequence`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "drive the engine through the `alae::search` facade \
-                (`Searcher::search`), which resolves hits to records and \
-                supports every engine uniformly"
-    )]
-    pub fn align_sequence(&self, query: &Sequence) -> AlaeResult {
-        assert_eq!(query.alphabet(), self.alphabet, "query alphabet mismatch");
-        self.align(query.codes())
     }
 
     /// Align a query given as a code slice and report every end pair whose
@@ -968,7 +988,7 @@ mod tests {
     use super::*;
     use alae_align_baseline::local_alignment_hits;
     use alae_bioseq::hits::diff_hits;
-    use alae_bioseq::ScoringScheme;
+    use alae_bioseq::{ScoringScheme, Sequence};
 
     fn dna_db(ascii: &[u8]) -> SequenceDatabase {
         let seq = Sequence::from_ascii(Alphabet::Dna, ascii).unwrap();

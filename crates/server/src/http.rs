@@ -11,7 +11,7 @@
 //!   query (reports tracing disabled when built without the feature).
 //! * `POST /search` — a minimal JSON body mapped onto the existing
 //!   [`alae::search::SearchRequest`] clamping path; the query runs
-//!   through the **same** admission queue and wave coalescing as TCP
+//!   through the **same** admission queue and search workers as TCP
 //!   frame requests, so the hits are identical by construction.
 //! * `POST /admin/reload` — hot-swap the index (optional JSON body
 //!   `{"path": "..."}`, else the path the server was started with);

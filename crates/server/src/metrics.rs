@@ -102,8 +102,8 @@ pub const LATENCY_BOUNDS: &[f64] = &[
 pub const QUEUE_WAIT_BOUNDS: &[f64] =
     &[0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0];
 
-/// Wave-size bucket upper bounds (a wave of 1 means no coalescing
-/// happened; powers of two up to the practical queue bound).
+/// Wave-size bucket upper bounds (powers of two; every observation is 1
+/// now that each worker runs one query at a time).
 pub const WAVE_SIZE_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// A fixed-bucket histogram (cumulative rendering, Prometheus-style).
@@ -202,15 +202,19 @@ pub struct Metrics {
     pub rejected_malformed: Counter,
     /// Requests currently waiting in the admission queue.
     pub queue_depth: Gauge,
-    /// Time requests spent in the admission queue before a worker picked
-    /// them up (includes the deliberate batch window).
+    /// Time requests spent in the admission queue, until a worker took
+    /// them off it (engine construction is not included).
     pub queue_wait_seconds: Histogram,
-    /// Size of each coalesced wave a worker ran (1 = no coalescing).
+    /// Queries a worker ran together: always 1, observed once per query
+    /// (workers no longer coalesce; kept so dashboards and the
+    /// `alae_wave_size` family stay stable).
     pub wave_size: Histogram,
     /// One counter per [`Termination`] outcome; every query that reaches
     /// the server increments exactly one of these.
     pub terminations: [Counter; Termination::LABELS.len()],
-    /// Engine wall-clock latency per query, one histogram per engine.
+    /// Engine wall-clock latency per query, one histogram per engine:
+    /// from pickup off the queue to the last shaped hit (searcher
+    /// construction, engine run, result shaping).
     pub query_latency: [Histogram; EngineKind::ALL.len()],
     /// Bytes read from TCP frame connections (shared with the
     /// [`alae::wire::CountingReader`] wrapping each stream).
@@ -429,7 +433,7 @@ impl Metrics {
         histogram(
             &mut out,
             "alae_wave_size",
-            "Number of coalesced requests per worker wave (1 = no coalescing).",
+            "Queries per worker run; always 1 (one query per worker).",
             &[],
             &self.wave_size,
         );

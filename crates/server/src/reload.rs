@@ -17,8 +17,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One published index epoch.  Queries pin this at admission and hold
-/// it through the wave; wave coalescing only merges queries pinned to
-/// the same epoch.
+/// it until they finish, so each runs entirely on one epoch.  The
+/// epoch's [`IndexedDatabase`] carries its own dominate-index cache,
+/// which is dropped with it when the last pin releases.
 pub(crate) struct PinnedIndex {
     /// 1 at startup, +1 per successful reload.
     pub(crate) epoch: u64,

@@ -2,7 +2,7 @@
 //!
 //! Every query that reaches the admission queue leaves one
 //! [`QueryTrace`] describing its path through the pipeline — admission →
-//! clamp → wave → engine → sink — in a fixed-capacity ring buffer.  The
+//! clamp → queue → engine → sink — in a fixed-capacity ring buffer.  The
 //! newest records are dumpable over HTTP (`GET /debug/last-queries`) and
 //! appendable to a file via `alae-serve --trace-log`.
 //!
@@ -28,11 +28,11 @@ pub struct QueryTrace {
     pub query_len: usize,
     /// Whether server-side clamping tightened any guardrail field.
     pub clamped: bool,
-    /// Size of the coalesced wave this query ran in (1 = alone).
-    pub wave_size: usize,
-    /// Microseconds spent in the admission queue before wave pickup.
+    /// Microseconds spent in the admission queue, until a worker took the
+    /// query off it.
     pub queue_wait_us: u64,
-    /// Microseconds of engine wall-clock, wave pickup to termination.
+    /// Microseconds from pickup to the last shaped hit: building the
+    /// query's `Searcher`, the engine run and result shaping.
     pub engine_us: u64,
     /// Hits delivered to the sink.
     pub hits: usize,
@@ -74,13 +74,12 @@ impl QueryTrace {
         let mut line = String::with_capacity(128);
         let _ = write!(
             line,
-            "query id={} proto={} engine={} len={} clamped={} wave={} queue_wait_us={} engine_us={} hits={} termination={}",
+            "query id={} proto={} engine={} len={} clamped={} queue_wait_us={} engine_us={} hits={} termination={}",
             self.id,
             self.proto,
             self.engine,
             self.query_len,
             self.clamped,
-            self.wave_size,
             self.queue_wait_us,
             self.engine_us,
             self.hits,
@@ -285,7 +284,6 @@ mod tests {
             engine,
             query_len: 32,
             clamped: false,
-            wave_size: 1,
             queue_wait_us: 10,
             engine_us: 250,
             hits: 2,

@@ -9,10 +9,12 @@ use alae::bioseq::{ScoringScheme, Sequence};
 #[cfg(feature = "fault-inject")]
 use alae::client::RetryPolicy;
 use alae::client::{Client, RejectedError};
-use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher, Termination};
+use alae::search::{
+    EngineKind, IndexBuilder, IndexedDatabase, SearchRequest, Searcher, Termination,
+};
 use alae::wire::RejectReason;
 use alae::workload::{MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
-use alae_server::{Server, ServerConfig};
+use alae_server::{FairnessConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -107,7 +109,20 @@ fn reload_under_load_preserves_hit_identity() {
     let local_a = Searcher::new(opened_a.clone(), request);
     let local_b = Searcher::new(opened_b, request);
 
-    let (server, addr) = spawn_server(opened_a, ServerConfig::default());
+    // All four clients share the loopback peer address, and a release
+    // build serves this small index thousands of times a second: open the
+    // per-peer gate so it refuses none of the load the swaps run under.
+    let (server, addr) = spawn_server(
+        opened_a,
+        ServerConfig {
+            fairness: FairnessConfig {
+                rate_per_sec: 1e9,
+                burst: 1e9,
+                max_concurrent: 64,
+            },
+            ..ServerConfig::default()
+        },
+    );
     assert_eq!(server.index_epoch(), 1);
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -293,16 +308,17 @@ fn fairness_rejects_the_flooder_not_the_polite_client() {
 /// duration lands on the gauge.
 #[test]
 fn drain_completes_in_flight_and_refuses_new_work() {
-    let (db, queries) = workload(4_000, 2, 7);
-    let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
-    let expected = Searcher::new(db.clone(), request).search(&queries[0]);
+    // Full Smith–Waterman over a larger text: a genuinely slow query that
+    // is still running when the drain begins and the latecomer arrives.
+    let (db, queries) = workload(800_000, 2, 7);
+    let request =
+        SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12).engine(EngineKind::SmithWaterman);
+    // The exact hits, from the (much faster) exact BWT-SW engine.
+    let expected = Searcher::new(db.clone(), request.engine(EngineKind::Bwtsw)).search(&queries[0]);
     let (server, addr) = spawn_server(
         db,
         ServerConfig {
             workers: 1,
-            // A wide window keeps the in-flight query in hand while the
-            // drain begins.
-            batch_window: Duration::from_millis(300),
             ..ServerConfig::default()
         },
     );
@@ -314,18 +330,30 @@ fn drain_completes_in_flight_and_refuses_new_work() {
             client.search(&request, &query).expect("in-flight search")
         })
     };
+    // Wait until the worker has taken the query off the queue (its queue
+    // wait is observed at pickup); it must not have finished yet.
+    while server.metrics().queue_wait_seconds.count() == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        server
+            .metrics()
+            .termination_counter(&Termination::Complete)
+            .get(),
+        0,
+        "the query must still be in flight when the drain begins"
+    );
     // The latecomer arrives while the drain is in progress.
     let latecomer = {
         let query = queries[1].clone();
         thread::spawn(move || {
-            thread::sleep(Duration::from_millis(120));
+            thread::sleep(Duration::from_millis(30));
             let mut client = Client::connect(addr).expect("connect latecomer");
             client.set_read_timeout(Some(Duration::from_secs(5))).ok();
             client.search(&request, &query)
         })
     };
 
-    thread::sleep(Duration::from_millis(60));
     let took = server.drain(Duration::from_secs(10));
     assert!(
         took < Duration::from_secs(10),

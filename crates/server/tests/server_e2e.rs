@@ -6,7 +6,7 @@
 use alae::bioseq::{Alphabet, ScoringScheme, Sequence};
 use alae::client::Client;
 use alae::search::{IndexBuilder, IndexedDatabase, SearchRequest, Searcher, Termination};
-use alae::wire::{encode_request, write_frame, FrameKind};
+use alae::wire::{decode_done, decode_hit, encode_request, read_frame, write_frame, FrameKind};
 use alae::workload::{MutationProfile, QuerySpec, TextSpec, WorkloadBuilder};
 use alae_server::{Server, ServerConfig};
 use std::net::{SocketAddr, TcpStream};
@@ -37,10 +37,9 @@ fn spawn_server(db: IndexedDatabase, config: ServerConfig) -> SocketAddr {
     addr
 }
 
-/// Four clients searching concurrently must each get responses identical
-/// to a local in-process `Searcher` over the same index — hits, threshold
-/// and termination alike — whether or not the server coalesced their
-/// requests into one batch wave.
+/// Four clients searching concurrently on two workers must each get
+/// responses identical to a local in-process `Searcher` over the same
+/// index — hits, threshold and termination alike.
 #[test]
 fn concurrent_clients_match_local_search() {
     let (db, queries) = workload(6_000, 4);
@@ -49,8 +48,6 @@ fn concurrent_clients_match_local_search() {
         db.clone(),
         ServerConfig {
             workers: 2,
-            // A wide window so the concurrent burst actually coalesces.
-            batch_window: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     );
@@ -82,6 +79,66 @@ fn concurrent_clients_match_local_search() {
             "client {i}: unexpected termination {:?}",
             response.termination
         );
+    }
+}
+
+/// With two workers and two concurrent clients, every query streams: each
+/// client reads its hits as individual `Hit` frames, all before its
+/// `Done` frame, and they are exactly the local `Searcher`'s hits.
+#[test]
+fn concurrent_queries_stream_hits_before_done() {
+    let (db, queries) = workload(6_000, 2);
+    let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
+    let addr = spawn_server(
+        db.clone(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let local = Searcher::new(db, request);
+
+    let clients: Vec<_> = queries
+        .iter()
+        .map(|query| {
+            let payload = encode_request(&request, query.codes());
+            thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                write_frame(&mut stream, FrameKind::Request, &payload).expect("send request");
+                let mut frames = Vec::new();
+                loop {
+                    let (kind, payload) = read_frame(&mut stream)
+                        .expect("read frame")
+                        .expect("server closed before Done");
+                    frames.push((kind, payload));
+                    if kind != FrameKind::Hit {
+                        return frames;
+                    }
+                }
+            })
+        })
+        .collect();
+
+    for (i, (client, query)) in clients.into_iter().zip(&queries).enumerate() {
+        let frames = client.join().expect("client thread");
+        let expected = local.search(query);
+        assert!(
+            !expected.hits.is_empty(),
+            "query {i} must have hits to stream"
+        );
+        let (last, hits) = frames.split_last().expect("at least a Done frame");
+        assert_eq!(last.0, FrameKind::Done, "client {i} must end with Done");
+        let hits: Vec<_> = hits
+            .iter()
+            .map(|(kind, payload)| {
+                assert_eq!(*kind, FrameKind::Hit);
+                decode_hit(payload).expect("hit frame")
+            })
+            .collect();
+        assert_eq!(hits, expected.hits, "client {i}: streamed hits differ");
+        let done = decode_done(&last.1).expect("done frame");
+        assert_eq!(done.delivered, expected.hits.len() as u64);
+        assert!(matches!(done.termination, Termination::Complete));
     }
 }
 
@@ -149,13 +206,7 @@ fn server_deadline_cap_overrides_client() {
 fn mid_query_disconnect_does_not_affect_other_clients() {
     let (db, queries) = workload(6_000, 2);
     let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
-    let addr = spawn_server(
-        db.clone(),
-        ServerConfig {
-            batch_window: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-    );
+    let addr = spawn_server(db.clone(), ServerConfig::default());
 
     // The vanishing client: send a request frame, then slam the connection
     // shut before reading a single response frame.

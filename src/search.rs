@@ -56,11 +56,13 @@ use alae_bioseq::hits::AlignmentHit;
 use alae_bioseq::{Alphabet, KarlinAltschul, ScoringScheme, Sequence, SequenceDatabase};
 use alae_blast_like::{BlastConfig, BlastLikeAligner, BlastStats};
 use alae_bwtsw::{BwtswAligner, BwtswConfig, BwtswStats};
-use alae_core::{AlaeAligner, AlaeConfig, AlaeStats, FilterToggles, ThresholdSpec};
+use alae_core::{
+    AlaeAligner, AlaeConfig, AlaeStats, DominationIndex, FilterToggles, ThresholdSpec,
+};
 use alae_suffix::{CheckpointScheme, IndexOptions, RankLayout, ScanBackend, TextIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-inject")]
@@ -81,7 +83,9 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 /// [`alae_suffix::IndexOptions`].  There is deliberately **no** q-gram knob: `q` is a
 /// property of the scoring scheme (Equation 2 of the paper), derived per
 /// request from [`ScoringScheme::q`], and the q-gram inverted lists are
-/// built per *query*, not stored with the database.
+/// built per *query*, not stored with the database.  The dominate index,
+/// which also depends on `q`, is built on first use and kept in memory with
+/// the [`IndexedDatabase`] (see [`IndexedDatabase::domination_index`]).
 ///
 /// ```
 /// use alae::bioseq::{Alphabet, Sequence, SequenceDatabase};
@@ -150,28 +154,80 @@ impl IndexBuilder {
             self.options
                 .build_text_index(database.shared_text(), database.alphabet().code_count()),
         );
-        IndexedDatabase { database, index }
+        IndexedDatabase::new(database, index)
+    }
+}
+
+/// Most dominate indexes (one per gram length `q`) one [`IndexedDatabase`]
+/// keeps; the least recently used one is dropped to admit another.
+///
+/// `q` follows from the request's scoring scheme (Equation 2), so a server
+/// client choosing schemes also chooses `q`.  This bound is what keeps such
+/// a client from growing memory: a dominate index holds at most one entry
+/// per text position, so one database's cache never exceeds this many
+/// times that.
+pub const DOMINATION_CACHE_LIMIT: usize = 4;
+
+/// One database's dominate indexes, keyed by `q`, least recently used
+/// first.  Each slot is filled once, outside the list lock, so concurrent
+/// first users of one `q` share a single build and users of other `q`
+/// values never wait behind it.
+#[derive(Debug, Default)]
+struct DominationCache {
+    slots: Mutex<Vec<(usize, DominationSlot)>>,
+}
+
+/// A dominate index filled in by its first user.
+type DominationSlot = Arc<OnceLock<Arc<DominationIndex>>>;
+
+impl DominationCache {
+    fn get_or_build(
+        &self,
+        q: usize,
+        build: impl FnOnce() -> DominationIndex,
+    ) -> Arc<DominationIndex> {
+        let slot = {
+            // The list stays structurally valid across a panic elsewhere,
+            // so a poisoned lock is recovered rather than propagated.
+            let mut slots = self
+                .slots
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let slot = match slots.iter().position(|(key, _)| *key == q) {
+                Some(at) => slots.remove(at).1,
+                None => Arc::new(OnceLock::new()),
+            };
+            if slots.len() >= DOMINATION_CACHE_LIMIT {
+                slots.remove(0);
+            }
+            slots.push((q, Arc::clone(&slot)));
+            slot
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(build())))
     }
 }
 
 /// A sequence database bundled with its suffix-trie index, behind `Arc`s so
 /// clones are cheap and every engine (and every thread) shares one copy of
 /// the text and index memory.
+///
+/// The ALAE engine's dominate index (Section 3.2.2 of the paper) is built
+/// once per database and `q`, on first use, and shared by every clone; see
+/// [`IndexedDatabase::domination_index`].
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     database: Arc<SequenceDatabase>,
     index: Arc<TextIndex>,
+    domination: Arc<DominationCache>,
 }
 
 impl IndexedDatabase {
-    /// Index a database (builds the compressed suffix array once).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `IndexBuilder::new().index(database)` — the one \
-                construction path with all layout/backend/sampling knobs"
-    )]
-    pub fn build(database: SequenceDatabase) -> Self {
-        IndexBuilder::new().index(database)
+    fn new(database: Arc<SequenceDatabase>, index: Arc<TextIndex>) -> Self {
+        Self {
+            database,
+            index,
+            domination: Arc::default(),
+        }
     }
 
     /// Convenience: collect sequences into a database and index it with the
@@ -191,7 +247,7 @@ impl IndexedDatabase {
             index.text(),
             "index must cover the database text"
         );
-        Self { database, index }
+        Self::new(database, index)
     }
 
     /// The record table and concatenated text.
@@ -219,6 +275,17 @@ impl IndexedDatabase {
         self.database.record_count()
     }
 
+    /// The dominate index for gram length `q` (at least 1), built over the
+    /// text on first use and then shared by every clone of this database
+    /// and every ALAE engine built over it.  At most
+    /// [`DOMINATION_CACHE_LIMIT`] of them are kept; a database reopened
+    /// from its file starts with none.
+    pub fn domination_index(&self, q: usize) -> Arc<DominationIndex> {
+        self.domination.get_or_build(q, || {
+            DominationIndex::build(self.index.text(), q, self.alphabet().code_count())
+        })
+    }
+
     /// Persist the database and index to a single file (see `alae-store`
     /// for the format).  The file can be reopened with
     /// [`IndexedDatabase::open`] without rebuilding the suffix array.
@@ -235,10 +302,7 @@ impl IndexedDatabase {
     /// [`alae_store::StoreError`].
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, alae_store::StoreError> {
         let opened = alae_store::open_index(path.as_ref())?;
-        Ok(Self {
-            database: opened.database,
-            index: opened.index,
-        })
+        Ok(Self::new(opened.database, opened.index))
     }
 }
 
@@ -617,14 +681,16 @@ pub fn build_engine(db: &IndexedDatabase, request: &SearchRequest) -> Box<dyn Lo
         text_len: db.text_len(),
     };
     match request.engine {
-        EngineKind::Alae => Box::new(AlaeEngine {
-            aligner: AlaeAligner::with_index(
-                db.index.clone(),
-                db.alphabet(),
-                request.to_alae_config(),
-            ),
-            shared,
-        }),
+        EngineKind::Alae => {
+            let config = request.to_alae_config();
+            let aligner = if config.filters.domination_filter {
+                let domination = db.domination_index(config.scheme.q());
+                AlaeAligner::with_domination(db.index.clone(), db.alphabet(), config, domination)
+            } else {
+                AlaeAligner::with_index(db.index.clone(), db.alphabet(), config)
+            };
+            Box::new(AlaeEngine { aligner, shared })
+        }
         EngineKind::Bwtsw => Box::new(BwtswEngine {
             index: db.index.clone(),
             shared,
@@ -1362,6 +1428,63 @@ mod tests {
         assert!(summary.stopped_early);
         assert_eq!(summary.delivered, 1);
         assert_eq!(first.as_ref(), eager.hits.first());
+    }
+
+    #[test]
+    fn searchers_over_clones_share_one_domination_index() {
+        let db = tiny_db();
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 5);
+        let q = ScoringScheme::DEFAULT.q();
+        let first = Searcher::new(db.clone(), request);
+        let second = Searcher::new(db.clone(), request);
+        let held = first.database().domination_index(q);
+        let also = second.database().domination_index(q);
+        assert!(Arc::ptr_eq(&held, &also));
+        assert_eq!(held.q(), q);
+        // The cache, both engines and the two handles above: the engines
+        // hold this very index rather than private copies.
+        assert_eq!(Arc::strong_count(&held), 5);
+        // A searcher with the domination filter off holds none.
+        let unfiltered = Searcher::new(db, request.filters(FilterToggles::LOCAL_ONLY));
+        assert_eq!(Arc::strong_count(&held), 5);
+        drop(unfiltered);
+    }
+
+    #[test]
+    fn reopened_database_builds_its_own_domination_index() {
+        let db = tiny_db();
+        let q = ScoringScheme::DEFAULT.q();
+        let mut path = std::env::temp_dir();
+        path.push(format!("alae-domination-cache-{}.alae", std::process::id()));
+        db.save(&path).unwrap();
+        let reopened = IndexedDatabase::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let original = db.domination_index(q);
+        let rebuilt = reopened.domination_index(q);
+        assert!(!Arc::ptr_eq(&original, &rebuilt));
+        assert_eq!(original.distinct_grams(), rebuilt.distinct_grams());
+        assert!(Arc::ptr_eq(&rebuilt, &reopened.clone().domination_index(q)));
+    }
+
+    #[test]
+    fn domination_cache_stays_within_its_limit() {
+        let db = tiny_db();
+        let cached = |db: &IndexedDatabase| db.domination.slots.lock().unwrap().len();
+        let first = db.domination_index(1);
+        for q in 1..=DOMINATION_CACHE_LIMIT + 3 {
+            assert_eq!(db.domination_index(q).q(), q);
+            assert!(cached(&db) <= DOMINATION_CACHE_LIMIT);
+        }
+        assert_eq!(cached(&db), DOMINATION_CACHE_LIMIT);
+        // The most recent `q` is still cached; the first was evicted and
+        // comes back as a fresh build.
+        let last = DOMINATION_CACHE_LIMIT + 3;
+        assert!(Arc::ptr_eq(
+            &db.domination_index(last),
+            &db.domination_index(last)
+        ));
+        assert!(!Arc::ptr_eq(&first, &db.domination_index(1)));
+        assert_eq!(cached(&db), DOMINATION_CACHE_LIMIT);
     }
 
     #[test]

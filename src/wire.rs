@@ -20,9 +20,8 @@
 //!
 //! The request payload opens with a fixed-order encoding of every
 //! [`SearchRequest`] field (the *configuration prefix*), followed by the
-//! query codes.  Servers use the raw configuration-prefix bytes as the
-//! batching fingerprint: two in-flight requests with byte-identical
-//! prefixes can share one `Searcher` and one `search_batch` wave.
+//! query codes.  Byte-identical prefixes mean behaviorally identical
+//! requests, so the prefix bytes can serve as a cache or grouping key.
 //!
 //! Deliberately **not** on the wire: the fault-injection plan (a test-only
 //! compile feature) and anything machine-specific (scan backends).
@@ -457,8 +456,7 @@ fn alphabet_from_u8(byte: u8) -> Result<Alphabet, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Encode the configuration prefix alone (every request field, fixed
-/// order).  Byte-identical prefixes ⇔ behaviorally identical requests —
-/// servers key their searcher cache and batch waves on these bytes.
+/// order).  Byte-identical prefixes ⇔ behaviorally identical requests.
 pub fn encode_request_config(request: &SearchRequest) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.put_u8(engine_to_u8(request.engine));
@@ -501,8 +499,7 @@ pub fn encode_request(request: &SearchRequest, query_codes: &[u8]) -> Vec<u8> {
 }
 
 /// A decoded request frame: the rebuilt [`SearchRequest`], the raw
-/// configuration-prefix bytes (the batching fingerprint) and the query
-/// codes.
+/// configuration-prefix bytes and the query codes.
 #[derive(Debug, Clone)]
 pub struct DecodedRequest {
     /// The request, reconstructed field by field.
@@ -523,6 +520,11 @@ pub fn decode_request(payload: &[u8]) -> Result<DecodedRequest, WireError> {
         sg: r.get_i64()?,
         ss: r.get_i64()?,
     };
+    // `q` and the E-value statistics divide by `sa`: an invalid scheme
+    // must end here as a typed error, not inside a search worker.
+    scheme
+        .validate()
+        .map_err(|err| WireError::new(err.to_string()))?;
     let threshold = match r.get_u8()? {
         0 => {
             let h = r.get_i64()?;
@@ -1051,6 +1053,18 @@ mod tests {
         assert_eq!(kind, FrameKind::Done);
         assert_eq!(payload, b"x");
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    #[test]
+    fn invalid_scoring_scheme_is_rejected() {
+        let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
+        let mut payload = encode_request(&request, &[1, 2, 3, 4]);
+        assert!(decode_request(&payload).is_ok());
+        // A zero match score: `q` would divide by zero.  `sa` follows the
+        // one-byte engine tag.
+        payload[1..9].copy_from_slice(&0i64.to_le_bytes());
+        let err = decode_request(&payload).expect_err("sa = 0 must be refused");
+        assert!(err.message().contains("sa"), "{}", err.message());
     }
 
     #[test]

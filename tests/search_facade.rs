@@ -298,3 +298,43 @@ fn trait_objects_expose_threshold_resolution() {
     assert!(thresholds.windows(2).all(|w| w[0] == w[1]));
     assert!(thresholds[0] > 0);
 }
+
+/// One database serving schemes with different `q` keeps one dominate
+/// index per `q`, and ALAE driven through it still reports exactly the
+/// BWT-SW hits: DNA under `DEFAULT` (q = 4) and a stricter-mismatch
+/// scheme (q = 5), protein under `PROTEIN_DEFAULT`.
+#[test]
+fn cached_domination_indexes_keep_alae_exact_for_every_q() {
+    let (dna, dna_queries) = workload(Alphabet::Dna, 8_000, 3, 40, 41);
+    let (protein, protein_queries) = workload(Alphabet::Protein, 6_000, 3, 40, 43);
+    let strict = ScoringScheme::FIGURE9_SCHEMES[1];
+    assert_ne!(strict.q(), ScoringScheme::DEFAULT.q());
+    let cases = [
+        (&dna, &dna_queries, ScoringScheme::DEFAULT),
+        (&dna, &dna_queries, strict),
+        (&protein, &protein_queries, ScoringScheme::PROTEIN_DEFAULT),
+    ];
+    for (db, queries, scheme) in cases {
+        let request = SearchRequest::with_threshold(scheme, 14);
+        let alae = Searcher::new(db.clone(), request.engine(EngineKind::Alae));
+        let bwtsw = Searcher::new(db.clone(), request.engine(EngineKind::Bwtsw));
+        assert_eq!(db.domination_index(scheme.q()).q(), scheme.q());
+        for (qi, query) in queries.iter().enumerate() {
+            let expected = bwtsw.search(query);
+            assert!(
+                !expected.hits.is_empty(),
+                "{scheme}: query {qi} has no hits"
+            );
+            assert_eq!(
+                alae.search(query).hits,
+                expected.hits,
+                "{scheme}: query {qi} differs from BWT-SW"
+            );
+        }
+    }
+    // Both DNA schemes' indexes are cached side by side.
+    assert!(!std::sync::Arc::ptr_eq(
+        &dna.domination_index(ScoringScheme::DEFAULT.q()),
+        &dna.domination_index(strict.q())
+    ));
+}
