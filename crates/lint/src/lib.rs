@@ -12,12 +12,12 @@
 //! Run it from the workspace root:
 //!
 //! ```text
-//! cargo run -p alae-lint --release
+//! cargo run --release -p alae-lint
 //! ```
 //!
 //! Findings print as `file:line: rule: message` and the process exits
-//! nonzero when any are found.  `scripts/lint_unsafe.sh` is a thin wrapper
-//! around the same binary, and CI runs it as the lint gate.
+//! nonzero when any are found.  CI runs exactly this command as the lint
+//! gate.
 
 #![forbid(unsafe_code)]
 

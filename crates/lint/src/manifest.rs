@@ -11,8 +11,8 @@
 //! * **feature forwarding** — for each tracked feature `F`: whenever a
 //!   crate declares `F` and has a path dependency that also declares `F`,
 //!   the declaring crate's `F` list must forward `"<dep>/F"`.  This is what
-//!   keeps `--features force-swar` (and friends) meaning the same thing no
-//!   matter which workspace member cargo is invoked from.
+//!   keeps `--features fault-inject` (and friends) meaning the same thing
+//!   no matter which workspace member cargo is invoked from.
 
 use crate::config::LintConfig;
 use crate::rules::{Finding, Rule};

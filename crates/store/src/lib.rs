@@ -12,8 +12,6 @@
 //!
 //! What is *not* stored, by design:
 //!
-//! * **Scan backend** — a property of the machine, not the data; resolved
-//!   fresh on open (so an index saved on an AVX2 box opens fine anywhere).
 //! * **Rank directories** — the bit-vector rank blocks and the exception
 //!   block-start rows are cheap derived data, rebuilt in one linear pass.
 //! * **Q-gram structures** — ALAE's q-gram inverted lists are built per
@@ -28,18 +26,17 @@ pub mod format;
 pub mod mmap;
 
 use std::fmt;
-use std::fs::File;
+use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alae_bioseq::{Alphabet, SequenceDatabase, SharedBytes};
 use alae_suffix::bitvec::RankBitVec;
 use alae_suffix::fm_index::FmIndex;
 use alae_suffix::rank::OccTable;
-use alae_suffix::{
-    simd, CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex,
-};
+use alae_suffix::{CheckpointRows, CheckpointRowsRef, StorageData, StorageDataRef, TextIndex};
 
 use format::{
     alphabet_tag, checkpoint_kind, checksum, section, storage_kind, Meta, TableEntry, ALIGN,
@@ -109,7 +106,14 @@ impl From<std::io::Error> for StoreError {
 // Save
 // ---------------------------------------------------------------------------
 
-/// Serialize `database` + `index` into one file at `path` (overwriting).
+/// Serialize `database` + `index` into one file at `path`, replacing any
+/// file already there.
+///
+/// The replacement is atomic: the bytes go to a temporary file in the same
+/// directory, which is synced and then renamed over `path`.  A process that
+/// has the old file mapped (say, `alae-serve` before a reload) keeps reading
+/// the old, intact inode; truncating the file in place would instead kill
+/// it with `SIGBUS` on its next access to a vanished page.
 ///
 /// The index must have been built over exactly the database's concatenated
 /// text (which is how every [`TextIndex`] built through the facade or
@@ -232,9 +236,40 @@ pub fn save_index(
     write_file(path, &sections)
 }
 
-/// Lay out header, table and aligned payloads, then write them through one
-/// buffered writer.
+/// Write the file beside `path`, sync it, rename it over `path` and sync
+/// the directory, so the rename itself survives a crash.
 fn write_file(path: &Path, sections: &[(u32, Vec<u8>)]) -> Result<(), StoreError> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let file_name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        )
+    })?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let mut temp_name = std::ffi::OsString::from(".");
+    temp_name.push(file_name);
+    temp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = dir.join(temp_name);
+    let written = write_sections(&temp, sections).and_then(|()| fs::rename(&temp, path));
+    if let Err(err) = written {
+        let _ = fs::remove_file(&temp);
+        return Err(err.into());
+    }
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// Lay out header, table and aligned payloads, write them through one
+/// buffered writer and sync the file.
+fn write_sections(path: &Path, sections: &[(u32, Vec<u8>)]) -> std::io::Result<()> {
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let mut offset = HEADER_LEN + table_len;
     let mut entries = Vec::with_capacity(sections.len());
@@ -264,8 +299,7 @@ fn write_file(path: &Path, sections: &[(u32, Vec<u8>)]) -> Result<(), StoreError
         out.write_all(payload)?;
         written = entry.offset as usize + payload.len();
     }
-    out.flush()?;
-    Ok(())
+    out.into_inner().map_err(|err| err.into_error())?.sync_all()
 }
 
 // ---------------------------------------------------------------------------
@@ -417,8 +451,7 @@ pub fn verify_index(path: &Path) -> Result<IndexSummary, StoreError> {
 ///
 /// Performs **no** build work: the suffix array, BWT and checkpoint rows
 /// come straight from the file.  Only cheap derived data is recomputed
-/// (bit-vector rank directories, exception block starts) and the scan
-/// backend is resolved for *this* machine.
+/// (bit-vector rank directories, exception block starts).
 pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
     let buffer = FileBuffer::open(path)?;
     let mapped = buffer.is_mapped();
@@ -523,14 +556,8 @@ pub fn open_index(path: &Path) -> Result<OpenedIndex, StoreError> {
         }
         other => return Err(corrupt(format!("unknown storage kind {other}"))),
     };
-    let occ = OccTable::from_parts(
-        occ_len,
-        occ_code_count,
-        rows,
-        storage,
-        simd::default_backend(),
-    )
-    .map_err(StoreError::Corrupt)?;
+    let occ = OccTable::from_parts(occ_len, occ_code_count, rows, storage)
+        .map_err(StoreError::Corrupt)?;
 
     // --- FM-index ---------------------------------------------------------
     let c_array = format::decode_usizes(sections.bytes(section::C_ARRAY)?)

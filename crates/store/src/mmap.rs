@@ -10,10 +10,17 @@
 //!
 //! # Safety audit
 //!
-//! * The mapping is `PROT_READ` + `MAP_PRIVATE`: the kernel guarantees the
-//!   pages are readable for the lifetime of the mapping and writes by other
-//!   processes to the underlying file cannot corrupt invariants beyond the
-//!   bytes themselves (callers checksum every section before trusting it).
+//! * The mapping is `PROT_READ` + `MAP_PRIVATE`.  That alone does **not**
+//!   make the file's owner harmless: if another writer truncates the file,
+//!   touching a page past the new end raises `SIGBUS` and kills the
+//!   process, and a write into the file after open can change bytes the
+//!   open-time checksums already vouched for (`MAP_PRIVATE` only copies a
+//!   page on *our* write, so until then we see the file's current
+//!   contents).  The guarantee instead rests on how index files are
+//!   replaced: `save_index` never rewrites a file in place, it renames a
+//!   fully written, synced temporary file over the path, so a mapped inode
+//!   is never truncated or modified by this workspace.  Files changed in
+//!   place by other tools are outside that guarantee.
 //! * `from_raw_parts` is called with exactly the pointer and length returned
 //!   by a successful `mmap`, and the mapping lives until `Drop` runs
 //!   `munmap` — the slice can never dangle while the `FileBuffer` is alive.

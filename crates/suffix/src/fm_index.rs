@@ -11,7 +11,6 @@ use crate::bitvec::RankBitVec;
 use crate::bwt::bwt_from_sa;
 use crate::rank::{CheckpointScheme, OccTable, RankLayout, ScanSnapshot};
 use crate::sais::suffix_array;
-use crate::simd::{self, ActiveBackend, ScanBackend};
 
 /// Largest caller-visible code count an index supports; keeps the
 /// [`FmIndex::extend_all`] scratch buffers on the stack.
@@ -74,78 +73,7 @@ impl FmIndex {
             DEFAULT_SA_SAMPLE_RATE,
             RankLayout::Auto,
             CheckpointScheme::default(),
-            simd::default_backend(),
         )
-    }
-
-    /// Build with an explicit suffix-array sampling rate (≥ 1).
-    #[deprecated(note = "use IndexOptions::new().sample_rate(..).build_fm_index(..)")]
-    pub fn with_sample_rate(text: &[u8], code_count: usize, sample_rate: usize) -> Self {
-        Self::build(
-            text,
-            code_count,
-            sample_rate,
-            RankLayout::Auto,
-            CheckpointScheme::default(),
-            simd::default_backend(),
-        )
-    }
-
-    /// Build with an explicit sampling rate and rank-storage layout (the
-    /// layout applies to the occurrence table over the BWT; see
-    /// [`RankLayout`]).  Checkpoints use the default two-level scheme.
-    #[deprecated(note = "use IndexOptions::new().sample_rate(..).layout(..).build_fm_index(..)")]
-    pub fn with_options(
-        text: &[u8],
-        code_count: usize,
-        sample_rate: usize,
-        layout: RankLayout,
-    ) -> Self {
-        Self::build(
-            text,
-            code_count,
-            sample_rate,
-            layout,
-            CheckpointScheme::default(),
-            simd::default_backend(),
-        )
-    }
-
-    /// Build with every occurrence-table knob explicit: sampling rate,
-    /// rank-storage layout, and checkpoint scheme (see [`CheckpointScheme`];
-    /// the flat scheme exists for layout-comparison benchmarks).  The scan
-    /// backend comes from [`simd::default_backend`].
-    #[deprecated(note = "use IndexOptions::new().checkpoints(..).build_fm_index(..)")]
-    pub fn with_full_options(
-        text: &[u8],
-        code_count: usize,
-        sample_rate: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-    ) -> Self {
-        Self::build(
-            text,
-            code_count,
-            sample_rate,
-            layout,
-            scheme,
-            simd::default_backend(),
-        )
-    }
-
-    /// Build with every knob explicit *including* the in-block scan backend
-    /// (forced-SWAR and forced-SIMD tables for agreement tests and
-    /// per-backend benchmarks).
-    #[deprecated(note = "use IndexOptions::new().backend(..).build_fm_index(..)")]
-    pub fn with_scan_backend(
-        text: &[u8],
-        code_count: usize,
-        sample_rate: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> Self {
-        Self::build(text, code_count, sample_rate, layout, scheme, backend)
     }
 
     /// The one real constructor (every public constructor and
@@ -156,7 +84,6 @@ impl FmIndex {
         sample_rate: usize,
         layout: RankLayout,
         scheme: CheckpointScheme,
-        backend: ScanBackend,
     ) -> Self {
         assert!(sample_rate >= 1);
         assert!(code_count >= 1);
@@ -187,7 +114,7 @@ impl FmIndex {
         for &c in &shifted_bwt {
             counts[c as usize] += 1;
         }
-        let occ = OccTable::build(shifted_bwt, shifted_code_count, layout, scheme, backend);
+        let occ = OccTable::build(shifted_bwt, shifted_code_count, layout, scheme);
         let mut c_array = vec![0usize; shifted_code_count];
         let mut running = 0usize;
         for c in 1..shifted_code_count {
@@ -306,11 +233,6 @@ impl FmIndex {
     /// The checkpoint scheme selected at construction.
     pub fn checkpoint_scheme(&self) -> CheckpointScheme {
         self.occ.checkpoint_scheme()
-    }
-
-    /// The in-block scan backend resolved at construction.
-    pub fn scan_backend(&self) -> ActiveBackend {
-        self.occ.scan_backend()
     }
 
     /// Footprint of the occurrence table alone (BWT storage + checkpoint

@@ -14,24 +14,19 @@
 //! * [`sais`] — linear-time suffix array construction (SA-IS),
 //! * [`bwt`] — Burrows–Wheeler transform and its inversion,
 //! * [`rank`] — byte-sequence rank structure (sampled occurrence counts),
-//! * [`simd`] — the in-block scan kernels behind [`rank`], in portable SWAR
-//!   and runtime-dispatched SSE2/AVX2 implementations,
+//! * [`simd`] — the in-block scan kernels behind [`rank`]: portable SWAR
+//!   for every layout, plus SSE2 for packed DNA on x86-64,
 //! * [`fm_index`] — FM-index with backward search and a sampled suffix array,
 //! * [`trie`] — the suffix-trie emulation used by BWT-SW and ALAE
 //!   ([`trie::SuffixTrieCursor`] extends a represented substring one
 //!   character to the right).
 //!
-//! # Scan backends
+//! # Scan kernels
 //!
-//! The hot in-block scans dispatch over a [`simd::ScanBackend`] resolved at
-//! index construction: `Auto` (the default) picks the widest kernels the CPU
-//! supports — AVX2 when `is_x86_feature_detected!` says so, SSE2 on any
-//! other x86-64, the portable SWAR fallback elsewhere.  Selection is
-//! forcible process-wide through the `ALAE_SCAN_BACKEND` environment
-//! variable (`auto` | `swar` | `simd`), per index through the
-//! `with_scan_backend` constructors, and at compile time through the
-//! `force-swar` cargo feature (which removes the SIMD paths entirely).  All
-//! backends produce bit-identical ranks and identical scan-counter values.
+//! The hot in-block scans run one kernel per storage shape, chosen by the
+//! platform alone: SWAR (`u64` bit counting) for every shape, plus an SSE2
+//! step for the 2-bit packed DNA layout that x86-64 builds select at
+//! compile time.  There is no runtime detection and no knob to set.
 //!
 //! `unsafe` is confined to the [`simd`] module (CI enforces this); the rest
 //! of the crate is `#![deny(unsafe_code)]`.
@@ -54,7 +49,6 @@ pub use rank::{
     thread_scan_snapshot, CheckpointRows, CheckpointRowsRef, CheckpointScheme, RankLayout,
     ScanSnapshot, StorageData, StorageDataRef,
 };
-pub use simd::{ActiveBackend, ScanBackend};
 pub use trie::{ChildBuf, SuffixTrieCursor, TextIndex, MAX_CHILDREN};
 
 /// The sentinel code appended to the text before suffix-array construction.

@@ -1,12 +1,10 @@
 //! One builder for every index construction knob.
 //!
-//! Historically each index type grew its own constructor ladder
-//! (`with_layout`, `with_options`, `with_full_options`, `with_scan_backend`,
-//! `with_scan_backend_shared`, …) and adding a knob meant widening every
-//! rung.  [`IndexOptions`] replaces that zoo: one value carries the
-//! rank-storage layout, checkpoint scheme, scan backend and suffix-array
-//! sampling rate, and builds an [`OccTable`], [`FmIndex`] or [`TextIndex`]
-//! from it.  The old constructors survive as `#[deprecated]` shims.
+//! One value carries the rank-storage layout, checkpoint scheme and
+//! suffix-array sampling rate, and builds an [`OccTable`], [`FmIndex`] or
+//! [`TextIndex`] from it.  Apart from the all-defaults `new` constructors,
+//! it is the only way to build an index.  The in-block scan kernel is not a
+//! knob: the platform alone picks it (see [`crate::simd`]).
 //!
 //! # Why there is no `q` knob
 //!
@@ -19,7 +17,6 @@
 
 use crate::fm_index::{FmIndex, DEFAULT_SA_SAMPLE_RATE};
 use crate::rank::{CheckpointScheme, OccTable, RankLayout};
-use crate::simd::{self, ScanBackend};
 use crate::trie::TextIndex;
 use alae_bioseq::SharedBytes;
 
@@ -38,19 +35,16 @@ use alae_bioseq::SharedBytes;
 pub struct IndexOptions {
     pub(crate) layout: RankLayout,
     pub(crate) checkpoints: CheckpointScheme,
-    pub(crate) backend: ScanBackend,
     pub(crate) sample_rate: usize,
 }
 
 impl IndexOptions {
-    /// The defaults: auto layout, two-level checkpoints, the process-wide
-    /// default scan backend (`ALAE_SCAN_BACKEND`, else auto-detection) and
-    /// the default suffix-array sampling rate.
+    /// The defaults: auto layout, two-level checkpoints and the default
+    /// suffix-array sampling rate.
     pub fn new() -> Self {
         Self {
             layout: RankLayout::Auto,
             checkpoints: CheckpointScheme::default(),
-            backend: simd::default_backend(),
             sample_rate: DEFAULT_SA_SAMPLE_RATE,
         }
     }
@@ -67,13 +61,6 @@ impl IndexOptions {
         self
     }
 
-    /// In-block scan backend (forced SWAR/SIMD for agreement tests and
-    /// per-backend benchmarks).
-    pub fn backend(mut self, backend: ScanBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Suffix-array sampling rate (≥ 1).
     pub fn sample_rate(mut self, rate: usize) -> Self {
         self.sample_rate = rate;
@@ -82,13 +69,7 @@ impl IndexOptions {
 
     /// Build an occurrence table for `data` (codes `< code_count`).
     pub fn build_occ_table(&self, data: Vec<u8>, code_count: usize) -> OccTable {
-        OccTable::build(
-            data,
-            code_count,
-            self.layout,
-            self.checkpoints,
-            self.backend,
-        )
+        OccTable::build(data, code_count, self.layout, self.checkpoints)
     }
 
     /// Build an FM-index for `text` (codes `< code_count`).
@@ -99,7 +80,6 @@ impl IndexOptions {
             self.sample_rate,
             self.layout,
             self.checkpoints,
-            self.backend,
         )
     }
 
@@ -120,7 +100,6 @@ impl Default for IndexOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::ActiveBackend;
 
     #[test]
     fn builder_knobs_reach_the_built_index() {
@@ -128,12 +107,10 @@ mod tests {
         let index = IndexOptions::new()
             .layout(RankLayout::Bytes)
             .checkpoints(CheckpointScheme::FlatU32)
-            .backend(ScanBackend::Swar)
             .sample_rate(4)
             .build_text_index(text, 5);
         assert_eq!(index.rank_layout(), RankLayout::Bytes);
         assert_eq!(index.checkpoint_scheme(), CheckpointScheme::FlatU32);
-        assert_eq!(index.scan_backend(), ActiveBackend::Swar);
     }
 
     #[test]
@@ -143,7 +120,6 @@ mod tests {
         let b = TextIndex::new(text.clone(), 5);
         assert_eq!(a.rank_layout(), b.rank_layout());
         assert_eq!(a.checkpoint_scheme(), b.checkpoint_scheme());
-        assert_eq!(a.scan_backend(), b.scan_backend());
         assert_eq!(a.find_occurrences(&[1, 2]), b.find_occurrences(&[1, 2]));
     }
 

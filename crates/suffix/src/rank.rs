@@ -35,18 +35,12 @@
 //! checkpoint rows thrashing the cache and staying resident.  A super-block
 //! spans `8 × 128 = 1024` positions, so deltas always fit a `u16`.
 //!
-//! # Bit-parallel in-block scans and SIMD backends
+//! # Bit-parallel in-block scans
 //!
 //! Every in-block scan bottoms out in one of the kernels of
-//! [`crate::simd`], which exist in portable SWAR form and (on x86-64) as
-//! SSE2 and runtime-detected AVX2 implementations.  The implementation is
-//! chosen per table at construction — a [`crate::simd::ScanBackend`]
-//! resolved once to a [`crate::simd::ActiveBackend`] — defaulting to the
-//! widest the CPU supports (overridable process-wide via the
-//! `ALAE_SCAN_BACKEND` environment variable, per table via
-//! [`OccTable::with_backend`], and disabled entirely by the `force-swar`
-//! cargo feature).  All backends are bit-exact: the SWAR kernels are the
-//! reference the SIMD paths are property-tested against.
+//! [`crate::simd`]: portable SWAR code for every layout, plus an SSE2 step
+//! for the 2-bit packed layout that x86-64 builds select at compile time.
+//! The tests check every kernel against a naive count.
 //!
 //! Three storage layouts are selected at construction ([`RankLayout`]):
 //!
@@ -80,7 +74,7 @@
 //! end-to-end.  Disabling the feature removes the two relaxed `fetch_add`s
 //! from every rank call (`scan_snapshot` then reports zeros).
 
-use crate::simd::{self, ActiveBackend, ScanBackend, CHARS_PER_WORD, NIBBLE_CHARS_PER_WORD};
+use crate::simd::{self, CHARS_PER_WORD, NIBBLE_CHARS_PER_WORD};
 use alae_bioseq::SharedBytes;
 #[cfg(feature = "occ-counters")]
 use std::cell::Cell;
@@ -631,27 +625,15 @@ impl PackedDna {
     /// Occurrences of the 2-bit `pattern` in positions `[start, end)`;
     /// `start` must be word-aligned.  Exception slots count as pattern 0.
     #[inline]
-    fn count_pattern(
-        &self,
-        pattern: u64,
-        start: usize,
-        end: usize,
-        backend: ActiveBackend,
-    ) -> usize {
-        simd::count_pattern_2bit(&self.words, pattern, start, end, backend)
+    fn count_pattern(&self, pattern: u64, start: usize, end: usize) -> usize {
+        simd::count_pattern_2bit(&self.words, pattern, start, end)
     }
 
     /// Occurrence histogram of all four dense patterns over `[start, end)`
     /// in a single pass; `start` must be word-aligned.
     #[inline]
-    fn count_all(
-        &self,
-        start: usize,
-        end: usize,
-        out: &mut [u32; DENSE_CODES],
-        backend: ActiveBackend,
-    ) {
-        simd::count_all_2bit(&self.words, start, end, out, backend);
+    fn count_all(&self, start: usize, end: usize, out: &mut [u32; DENSE_CODES]) {
+        simd::count_all_2bit(&self.words, start, end, out);
     }
 
     fn size_in_bytes(&self) -> usize {
@@ -711,27 +693,18 @@ impl PackedNibble {
     /// Occurrences of the 4-bit `pattern` in positions `[start, end)`;
     /// `start` must be word-aligned.  Exception slots count as pattern 0.
     #[inline]
-    fn count_pattern(
-        &self,
-        pattern: u64,
-        start: usize,
-        end: usize,
-        backend: ActiveBackend,
-    ) -> usize {
-        simd::count_pattern_nibble(&self.words, pattern, start, end, backend)
+    fn count_pattern(&self, pattern: u64, start: usize, end: usize) -> usize {
+        simd::count_pattern_nibble(&self.words, pattern, start, end)
     }
 
     /// Occurrence histogram of every dense pattern over `[start, end)` in a
     /// single pass, accumulated straight into `out` (`out[pattern] += 1`,
-    /// so callers pass their counts slice offset by `dense_base`).  The SWAR
-    /// kernel loads each storage word once and shifts its nibbles out; the
-    /// SIMD kernels compare the low/high nibble planes of a whole vector
-    /// against every dense pattern.  `start` must be word-aligned; exception
-    /// slots count as pattern 0.
+    /// so callers pass their counts slice offset by `dense_base`).  `start`
+    /// must be word-aligned; exception slots count as pattern 0.
     #[inline]
-    fn count_into(&self, start: usize, end: usize, out: &mut [u32], backend: ActiveBackend) {
+    fn count_into(&self, start: usize, end: usize, out: &mut [u32]) {
         debug_assert!(out.len() >= self.dense_used);
-        simd::nibble_histogram_into(&self.words, start, end, out, backend);
+        simd::nibble_histogram_into(&self.words, start, end, out);
     }
 
     fn size_in_bytes(&self) -> usize {
@@ -750,8 +723,6 @@ pub struct OccTable {
     checkpoints: Checkpoints,
     /// The BWT characters in one of the scan layouts.
     storage: OccStorage,
-    /// The scan-kernel implementation resolved at construction.
-    backend: ActiveBackend,
     /// Scan-work accounting.
     scans: ScanCounter,
 }
@@ -766,48 +737,7 @@ impl OccTable {
             code_count,
             RankLayout::Auto,
             CheckpointScheme::default(),
-            simd::default_backend(),
         )
-    }
-
-    /// Build with an explicit storage layout (used by tests and benchmarks
-    /// to compare the scan paths).
-    #[deprecated(note = "use IndexOptions::new().layout(..).build_occ_table(..)")]
-    pub fn with_layout(data: Vec<u8>, code_count: usize, layout: RankLayout) -> Self {
-        Self::build(
-            data,
-            code_count,
-            layout,
-            CheckpointScheme::default(),
-            simd::default_backend(),
-        )
-    }
-
-    /// Build with an explicit storage layout *and* checkpoint scheme; the
-    /// scan backend comes from [`simd::default_backend`] (the
-    /// `ALAE_SCAN_BACKEND` environment variable, else auto-detection).
-    #[deprecated(note = "use IndexOptions::new().layout(..).checkpoints(..).build_occ_table(..)")]
-    pub fn with_options(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-    ) -> Self {
-        Self::build(data, code_count, layout, scheme, simd::default_backend())
-    }
-
-    /// Build with every knob explicit, including the scan backend (used by
-    /// the backend-agreement tests and the per-backend benchmark
-    /// configurations).
-    #[deprecated(note = "use IndexOptions::new().backend(..).build_occ_table(..)")]
-    pub fn with_backend(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> Self {
-        Self::build(data, code_count, layout, scheme, backend)
     }
 
     /// The one real constructor (every public constructor and
@@ -817,7 +747,6 @@ impl OccTable {
         code_count: usize,
         layout: RankLayout,
         scheme: CheckpointScheme,
-        backend: ScanBackend,
     ) -> Self {
         assert!(code_count > 0);
         debug_assert!(data.iter().all(|&c| (c as usize) < code_count));
@@ -859,7 +788,6 @@ impl OccTable {
             len,
             checkpoints,
             storage,
-            backend: backend.resolve(),
             scans: ScanCounter::default(),
         }
     }
@@ -896,11 +824,6 @@ impl OccTable {
         self.checkpoints.scheme()
     }
 
-    /// The scan-kernel implementation resolved at construction.
-    pub fn scan_backend(&self) -> ActiveBackend {
-        self.backend
-    }
-
     /// Character at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u8 {
@@ -925,7 +848,7 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(data) => {
                 self.scans.record(i - start);
-                base + simd::count_eq_bytes(&data[start..i], c, self.backend)
+                base + simd::count_eq_bytes(&data[start..i], c)
             }
             OccStorage::Packed(packed) => {
                 if c < packed.dense_base {
@@ -934,12 +857,7 @@ impl OccTable {
                     base + packed.exc.count_code(block, i, c)
                 } else {
                     self.scans.record((i - start).div_ceil(4));
-                    let mut count = packed.count_pattern(
-                        (c - packed.dense_base) as u64,
-                        start,
-                        i,
-                        self.backend,
-                    );
+                    let mut count = packed.count_pattern((c - packed.dense_base) as u64, start, i);
                     if c == packed.dense_base {
                         // Exception slots packed as pattern 0.
                         let (lo, hi) = packed.exc.block_range(block, i);
@@ -953,12 +871,7 @@ impl OccTable {
                     base + nibble.exc.count_code(block, i, c)
                 } else {
                     self.scans.record((i - start).div_ceil(2));
-                    let mut count = nibble.count_pattern(
-                        (c - nibble.dense_base) as u64,
-                        start,
-                        i,
-                        self.backend,
-                    );
+                    let mut count = nibble.count_pattern((c - nibble.dense_base) as u64, start, i);
                     if c == nibble.dense_base {
                         // Exception slots packed as pattern 0.
                         let (lo, hi) = nibble.exc.block_range(block, i);
@@ -985,12 +898,12 @@ impl OccTable {
         match &self.storage {
             OccStorage::Bytes(data) => {
                 self.scans.record(i - start);
-                simd::byte_histogram_prefix(data, start, i, counts, self.backend);
+                simd::byte_histogram(&data[start..i], counts);
             }
             OccStorage::Packed(packed) => {
                 self.scans.record((i - start).div_ceil(4));
                 let mut dense = [0u32; DENSE_CODES];
-                packed.count_all(start, i, &mut dense, self.backend);
+                packed.count_all(start, i, &mut dense);
                 let (lo, hi) = packed.exc.block_range(block, i);
                 dense[0] -= (hi - lo) as u32; // Exception slots packed as 0.
                 for k in lo..hi {
@@ -1009,7 +922,7 @@ impl OccTable {
                 // Nibble patterns are `code - dense_base`, so offsetting the
                 // counts slice lets the histogram accumulate in place with
                 // no temporary.
-                nibble.count_into(start, i, &mut counts[dense_base..], self.backend);
+                nibble.count_into(start, i, &mut counts[dense_base..]);
                 let (lo, hi) = nibble.exc.block_range(block, i);
                 counts[dense_base] -= (hi - lo) as u32; // Exceptions packed as 0.
                 for k in lo..hi {
@@ -1086,14 +999,12 @@ impl OccTable {
     /// (the `alae-store` open path).  Derived quantities — the dense base,
     /// the per-block exception offsets — are reconstructed; the checkpoint
     /// rows are validated for shape (content integrity is the store's
-    /// per-section checksums' job).  The scan `backend` is resolved fresh
-    /// because it is machine-specific and never serialized.
+    /// per-section checksums' job).
     pub fn from_parts(
         len: usize,
         code_count: usize,
         rows: CheckpointRows,
         storage: StorageData,
-        backend: ScanBackend,
     ) -> Result<Self, String> {
         if code_count == 0 {
             return Err("code_count must be positive".into());
@@ -1197,7 +1108,6 @@ impl OccTable {
             len,
             checkpoints,
             storage,
-            backend: backend.resolve(),
             scans: ScanCounter::default(),
         })
     }
@@ -1222,20 +1132,6 @@ mod tests {
 
     fn table_with_layout(data: Vec<u8>, code_count: usize, layout: RankLayout) -> OccTable {
         table(data, code_count, layout, CheckpointScheme::default())
-    }
-
-    fn table_with_backend(
-        data: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> OccTable {
-        IndexOptions::new()
-            .layout(layout)
-            .checkpoints(scheme)
-            .backend(backend)
-            .build_occ_table(data, code_count)
     }
 
     fn naive_rank(data: &[u8], c: u8, i: usize) -> usize {
@@ -1644,19 +1540,9 @@ mod tests {
         assert!(packed.size_in_bytes() < nibble.size_in_bytes());
     }
 
-    /// Backends the running build can actually exercise (SWAR always;
-    /// SSE2/AVX2 when the build and CPU support them).
-    fn forced_backends() -> Vec<ScanBackend> {
-        let mut backends = vec![ScanBackend::Swar];
-        if ScanBackend::Simd.resolve().is_simd() {
-            backends.push(ScanBackend::Simd);
-        }
-        backends
-    }
-
     /// Random text over `code_count` codes, plus a separator-heavy twin
     /// (every third position is a low/sparse code).
-    fn backend_test_texts(code_count: usize, len: usize, seed: u64) -> [Vec<u8>; 2] {
+    fn random_and_separator_heavy(code_count: usize, len: usize, seed: u64) -> [Vec<u8>; 2] {
         let mut state = seed;
         let random: Vec<u8> = (0..len)
             .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
@@ -1675,11 +1561,11 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_layout_scheme_combination_agrees() {
-        // The tentpole exactness proof at the table level: for every
-        // (layout × checkpoint scheme × backend) combination, ranks,
-        // rank_all histograms, stored characters and (when compiled in)
-        // scan-counter values are identical to the SWAR reference.
+    fn every_layout_scheme_combination_matches_naive_ranks() {
+        // Exactness at the table level: for every (layout × checkpoint
+        // scheme) combination, on plain and separator-heavy texts spanning
+        // a super-block boundary, ranks, rank_all histograms and stored
+        // characters equal a naive count over the raw data.
         for (layout, code_count) in [
             (RankLayout::Bytes, 21usize),
             (RankLayout::Bytes, 5),
@@ -1688,68 +1574,33 @@ mod tests {
             (RankLayout::PackedNibble, 9),
         ] {
             for scheme in SCHEMES {
-                for data in backend_test_texts(code_count, SUPER_SPAN + 2 * BLOCK + 37, 0xA1AE) {
-                    let reference = table_with_backend(
-                        data.clone(),
-                        code_count,
-                        layout,
-                        scheme,
-                        ScanBackend::Swar,
-                    );
-                    for backend in forced_backends() {
-                        let table =
-                            table_with_backend(data.clone(), code_count, layout, scheme, backend);
-                        assert_eq!(table.layout(), layout);
-                        let ref_before = reference.scan_snapshot();
-                        let mut counts_ref = vec![0u32; code_count];
-                        let mut counts = vec![0u32; code_count];
-                        for i in (0..=data.len()).step_by(7) {
-                            reference.rank_all(i, &mut counts_ref);
-                            table.rank_all(i, &mut counts);
+                for data in
+                    random_and_separator_heavy(code_count, SUPER_SPAN + 2 * BLOCK + 37, 0xA1AE)
+                {
+                    let table = table(data.clone(), code_count, layout, scheme);
+                    assert_eq!(table.layout(), layout);
+                    let mut counts = vec![0u32; code_count];
+                    for i in (0..=data.len()).step_by(7) {
+                        table.rank_all(i, &mut counts);
+                        for c in 0..code_count as u8 {
+                            let expected = naive_rank(&data, c, i);
                             assert_eq!(
-                                counts, counts_ref,
-                                "rank_all {layout:?} {scheme:?} {backend:?} i={i}"
+                                counts[c as usize] as usize, expected,
+                                "rank_all {layout:?} {scheme:?} c={c} i={i}"
                             );
-                            for c in 0..code_count as u8 {
-                                assert_eq!(
-                                    table.rank(c, i),
-                                    reference.rank(c, i),
-                                    "rank {layout:?} {scheme:?} {backend:?} c={c} i={i}"
-                                );
-                            }
+                            assert_eq!(
+                                table.rank(c, i),
+                                expected,
+                                "rank {layout:?} {scheme:?} c={c} i={i}"
+                            );
                         }
-                        for (i, &expected) in data.iter().enumerate() {
-                            assert_eq!(table.get(i), expected);
-                        }
-                        // Scan accounting must not depend on the backend —
-                        // BENCH_rank.json's scans-per-node are gated exactly.
-                        // (The reference is re-queried per backend, so
-                        // compare its per-iteration delta with the fresh
-                        // table's total.)
-                        assert_eq!(
-                            table.scan_snapshot(),
-                            reference.scan_snapshot().since(&ref_before)
-                        );
+                    }
+                    for (i, &expected) in data.iter().enumerate() {
+                        assert_eq!(table.get(i), expected);
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn forced_swar_tables_report_the_swar_backend() {
-        let table = table_with_backend(
-            vec![1u8; 300],
-            4,
-            RankLayout::Auto,
-            CheckpointScheme::default(),
-            ScanBackend::Swar,
-        );
-        assert_eq!(table.scan_backend(), ActiveBackend::Swar);
-        // The default constructor resolves Auto (possibly to a SIMD
-        // backend, depending on build/CPU/env).
-        let auto = OccTable::new(vec![1u8; 300], 4);
-        assert_eq!(auto.scan_backend(), simd::default_backend().resolve());
     }
 
     #[test]

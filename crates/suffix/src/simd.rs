@@ -1,145 +1,31 @@
-//! Hardware-parallel occurrence-layer scan kernels with runtime dispatch.
+//! Occurrence-layer scan kernels: one per shape, chosen by the platform.
 //!
 //! Every in-block scan of the occurrence table ([`crate::rank`]) bottoms out
 //! in one of six kernels: byte equality count and byte histogram (the
 //! [`crate::rank::RankLayout::Bytes`] layout), 2-bit pattern count and 2-bit
 //! histogram ([`crate::rank::RankLayout::PackedDna`]), and 4-bit (nibble)
 //! pattern count and histogram ([`crate::rank::RankLayout::PackedNibble`]).
-//! This module owns all six, in up to three implementations each:
 //!
-//! * **SWAR** — the portable `u64` bit-parallel fallback (equality folds +
-//!   `count_ones`), available everywhere and the reference the SIMD paths
-//!   are proven bit-exact against.
-//! * **SSE2** — 128-bit `std::arch` kernels.  SSE2 is part of the x86-64
-//!   baseline, so this path needs no runtime detection.
-//! * **AVX2** — 256-bit kernels selected at runtime via
-//!   `is_x86_feature_detected!("avx2")`.
+//! Every kernel has a portable SWAR form: `u64` equality folds plus
+//! `count_ones`.  On x86-64 the two 2-bit kernels run an SSE2 form instead,
+//! 64 characters (two words) per step, selected at compile time; SSE2 is
+//! part of the x86-64 baseline, so there is no runtime detection and no
+//! knob, and the SWAR form is the reference the tests compare it with.
+//! The SSE2 step pays: on a 2-vCPU Xeon,
+//! served DNA search ran ~6% slower at the median with SWAR in its place.
+//! Vector forms of the byte and nibble kernels measured no gain over SWAR,
+//! so those shapes are SWAR only.  A scan spans at most one checkpoint
+//! block (`BLOCK` = 128 characters), so a vector step wider than 64
+//! characters would never run.
 //!
-//! # Backend selection
+//! The SSE2 kernels mask the last step of a span to its end and count
+//! their match masks in vector registers, so results are exact for every
+//! prefix length and no scalar software popcount runs on this path.
 //!
-//! Callers pick a [`ScanBackend`] (`Auto` / `Swar` / `Simd`); construction
-//! resolves it once to an [`ActiveBackend`] (`Swar` / `Sse2` / `Avx2`) and
-//! the per-query dispatch is a plain enum match — no per-call feature
-//! detection.  The process-wide default comes from the `ALAE_SCAN_BACKEND`
-//! environment variable (`auto` | `swar` | `simd`); tests and benchmarks
-//! force a backend per table through the `with_scan_backend` constructors
-//! ([`crate::rank::OccTable::with_backend`],
-//! [`crate::trie::TextIndex::with_scan_backend`]).  Building with the
-//! `force-swar` cargo feature compiles the SIMD paths out entirely, so
-//! `Auto`/`Simd` resolve to SWAR — the CI matrix leg that proves the
-//! dispatch layer is load-bearing.
-//!
-//! Every kernel handles the partial tail of a scan (fewer characters than
-//! one SIMD chunk) by cascading to the next narrower implementation —
-//! AVX2 → SSE2 → SWAR — so results are exact for every prefix length, not
-//! just chunk multiples.
-//!
-//! This is the only module in the workspace allowed to use `unsafe` (the
-//! `std::arch` intrinsics and the `u64`→byte reinterpretation the nibble
-//! kernels need); the crate root carries `#![deny(unsafe_code)]` and CI
-//! greps for strays.
+//! This is the only module of the crate allowed to use `unsafe` (the SSE2
+//! intrinsics); the crate root carries `#![deny(unsafe_code)]` and
+//! `alae-lint` checks the confinement.
 #![allow(unsafe_code)]
-
-use std::sync::OnceLock;
-
-/// Requested scan backend: how the in-block kernels should be implemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanBackend {
-    /// Use the widest instruction set the CPU supports (the default).
-    #[default]
-    Auto,
-    /// Force the portable SWAR (`u64` bit-parallel) kernels.
-    Swar,
-    /// Force the SIMD kernels (resolves to AVX2 when detected, else SSE2 on
-    /// x86-64; falls back to SWAR elsewhere or under `force-swar`).
-    Simd,
-}
-
-/// The implementation actually selected after CPU-feature detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActiveBackend {
-    /// Portable `u64` bit-parallel kernels.
-    Swar,
-    /// 128-bit SSE2 kernels (x86-64 baseline).
-    Sse2,
-    /// 256-bit AVX2 kernels (runtime-detected).
-    Avx2,
-}
-
-impl ActiveBackend {
-    /// Lower-case display name (`"swar"` / `"sse2"` / `"avx2"`), the form
-    /// recorded in `BENCH_rank.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            ActiveBackend::Swar => "swar",
-            ActiveBackend::Sse2 => "sse2",
-            ActiveBackend::Avx2 => "avx2",
-        }
-    }
-
-    /// True when this backend runs vector kernels (not the SWAR fallback).
-    pub fn is_simd(self) -> bool {
-        !matches!(self, ActiveBackend::Swar)
-    }
-}
-
-impl std::fmt::Display for ActiveBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl ScanBackend {
-    /// Resolve the request against the running CPU (cached after the first
-    /// call; dispatch afterwards is a plain enum match).
-    pub fn resolve(self) -> ActiveBackend {
-        match self {
-            ScanBackend::Swar => ActiveBackend::Swar,
-            ScanBackend::Auto | ScanBackend::Simd => best_available(),
-        }
-    }
-}
-
-/// The widest backend the build and the CPU support.
-fn best_available() -> ActiveBackend {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-    {
-        static BEST: OnceLock<ActiveBackend> = OnceLock::new();
-        *BEST.get_or_init(|| {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                ActiveBackend::Avx2
-            } else {
-                ActiveBackend::Sse2
-            }
-        })
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-    {
-        ActiveBackend::Swar
-    }
-}
-
-/// The process-wide default [`ScanBackend`], read once from the
-/// `ALAE_SCAN_BACKEND` environment variable (`auto` | `swar` | `simd`,
-/// case-insensitive; unset or unrecognized values mean `Auto`).
-pub fn default_backend() -> ScanBackend {
-    static FROM_ENV: OnceLock<ScanBackend> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("ALAE_SCAN_BACKEND") {
-        Ok(value) => match value.trim().to_ascii_lowercase().as_str() {
-            "swar" => ScanBackend::Swar,
-            "simd" => ScanBackend::Simd,
-            "auto" | "" => ScanBackend::Auto,
-            other => {
-                eprintln!(
-                    "warning: unrecognized ALAE_SCAN_BACKEND value {other:?} \
-                     (expected auto|swar|simd); using auto"
-                );
-                ScanBackend::Auto
-            }
-        },
-        Err(_) => ScanBackend::Auto,
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Shared word geometry (used by the rank layouts and every kernel).
@@ -152,196 +38,130 @@ pub(crate) const CHARS_PER_WORD: usize = 32;
 pub(crate) const NIBBLE_CHARS_PER_WORD: usize = 16;
 
 /// Low bit of every 2-bit group.
-pub(crate) const GROUP_LOW_BITS: u64 = 0x5555_5555_5555_5555;
+const GROUP_LOW_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// Low bit of every nibble.
-pub(crate) const NIBBLE_LOW_BITS: u64 = 0x1111_1111_1111_1111;
+const NIBBLE_LOW_BITS: u64 = 0x1111_1111_1111_1111;
 
 /// Low bit of every byte.
 const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
 
 // ---------------------------------------------------------------------------
-// Dispatch wrappers (the only entry points the rank layer calls).
+// Entry points the rank layer calls.
 // ---------------------------------------------------------------------------
 
-/// Number of bytes of `data` equal to `c`.
+/// Number of bytes of `data` equal to `c`, eight bytes per SWAR step.
 #[inline]
-pub(crate) fn count_eq_bytes(data: &[u8], c: u8, backend: ActiveBackend) -> usize {
-    match backend {
-        ActiveBackend::Swar => count_eq_bytes_swar(data, c),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        ActiveBackend::Sse2 => x86::count_eq_bytes_sse2(data, c),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        // SAFETY: `ActiveBackend::Avx2` is only ever produced by
-        // `best_available` after `is_x86_feature_detected!("avx2")`.
-        ActiveBackend::Avx2 => unsafe { x86::count_eq_bytes_avx2(data, c) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        _ => count_eq_bytes_swar(data, c),
+pub(crate) fn count_eq_bytes(data: &[u8], c: u8) -> usize {
+    let pattern = u64::from_ne_bytes([c; 8]);
+    let mut count = 0usize;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_ne_bytes(chunk.try_into().unwrap());
+        let x = word ^ pattern;
+        // Fold each byte onto its low bit: low bit set iff the byte is
+        // nonzero (all folds stay inside the byte, so this is exact — unlike
+        // the borrow-based `haszero` trick, which is only a predicate).
+        let mut folded = x | (x >> 4);
+        folded |= folded >> 2;
+        folded |= folded >> 1;
+        count += 8 - (folded & BYTE_LOW_BITS).count_ones() as usize;
     }
+    count + chunks.remainder().iter().filter(|&&b| b == c).count()
 }
 
-/// Alphabet-size cutoff for the byte-histogram bit-plane tree.
-///
-/// The AND-tree costs one popcnt per possible value, so its profit shrinks
-/// as the alphabet grows: measured on AVX2 hardware it is ~1.4× the scalar
-/// pass for `σ ≤ 16` (two octet subtrees) but loses to the scalar
-/// histogram's ~2 cycles/byte at the full protein `σ = 22` (three subtrees,
-/// 24 port-limited popcnts).  Above the cutoff every backend runs the
-/// scalar pass — the dispatch layer's job is the fastest known kernel per
-/// shape, not vector code at any price.
-const BYTE_TREE_MAX_CODES: usize = 16;
-
-/// Prefix-length cutoff below which the scalar byte histogram wins (the
-/// plane tree's fixed extraction + tree cost does not amortize).
-const BYTE_TREE_MIN_LEN: usize = 32;
-
-/// Byte histogram of the prefix `data[start..end]`: `counts[b] += 1` for
-/// every byte `b` of the prefix (all bytes must be `< counts.len()`, and
-/// `counts.len() ≤ 32`).
-///
-/// The kernel may *read* any in-bounds byte of `data` at or beyond `start`
-/// (the SIMD paths load whole 16/32-byte chunks and mask the lanes beyond
-/// `end` out of the counts), but only the prefix is ever counted.
+/// Byte histogram: `counts[b] += 1` for every byte `b` of `data` (all bytes
+/// must be `< counts.len()`).
 #[inline]
-pub(crate) fn byte_histogram_prefix(
-    data: &[u8],
-    start: usize,
-    end: usize,
-    counts: &mut [u32],
-    backend: ActiveBackend,
-) {
-    debug_assert!(counts.len() <= 32);
-    // Decided here, before the (non-inlinable) `target_feature` boundary,
-    // so the common wide-alphabet and short-prefix cases pay no extra call.
-    if counts.len() > BYTE_TREE_MAX_CODES || end - start < BYTE_TREE_MIN_LEN {
-        return byte_histogram_swar(&data[start..end], counts);
-    }
-    match backend {
-        ActiveBackend::Swar => byte_histogram_swar(&data[start..end], counts),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        ActiveBackend::Sse2 => x86::byte_histogram_prefix_sse2(data, start, end, counts),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        // SAFETY: `Avx2` implies runtime AVX2 detection (see above).
-        ActiveBackend::Avx2 => unsafe { x86::byte_histogram_prefix_avx2(data, start, end, counts) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        _ => byte_histogram_swar(&data[start..end], counts),
+pub(crate) fn byte_histogram(data: &[u8], counts: &mut [u32]) {
+    for &b in data {
+        counts[b as usize] += 1;
     }
 }
 
 /// Occurrences of the 2-bit `pattern` in character positions `[start, end)`
 /// of the packed `words`; `start` must be a multiple of [`CHARS_PER_WORD`].
 #[inline]
-pub(crate) fn count_pattern_2bit(
-    words: &[u64],
-    pattern: u64,
-    start: usize,
-    end: usize,
-    backend: ActiveBackend,
-) -> usize {
+pub(crate) fn count_pattern_2bit(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
     debug_assert_eq!(start % CHARS_PER_WORD, 0);
-    match backend {
-        ActiveBackend::Swar => count_pattern_2bit_swar(words, pattern, start, end),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        ActiveBackend::Sse2 => x86::count_pattern_2bit_sse2(words, pattern, start, end),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        // SAFETY: `Avx2` implies runtime AVX2 detection (see above).
-        ActiveBackend::Avx2 => unsafe { x86::count_pattern_2bit_avx2(words, pattern, start, end) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        _ => count_pattern_2bit_swar(words, pattern, start, end),
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::count_pattern_2bit_sse2(words, pattern, start, end)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        count_pattern_2bit_swar(words, pattern, start, end)
     }
 }
 
 /// Histogram of all four 2-bit patterns over `[start, end)`; `start` must be
 /// a multiple of [`CHARS_PER_WORD`].
 #[inline]
-pub(crate) fn count_all_2bit(
-    words: &[u64],
-    start: usize,
-    end: usize,
-    out: &mut [u32; 4],
-    backend: ActiveBackend,
-) {
+pub(crate) fn count_all_2bit(words: &[u64], start: usize, end: usize, out: &mut [u32; 4]) {
     debug_assert_eq!(start % CHARS_PER_WORD, 0);
-    match backend {
-        ActiveBackend::Swar => count_all_2bit_swar(words, start, end, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        ActiveBackend::Sse2 => x86::count_all_2bit_sse2(words, start, end, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        // SAFETY: `Avx2` implies runtime AVX2 detection (see above).
-        ActiveBackend::Avx2 => unsafe { x86::count_all_2bit_avx2(words, start, end, out) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        _ => count_all_2bit_swar(words, start, end, out),
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::count_all_2bit_sse2(words, start, end, out)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        count_all_2bit_swar(words, start, end, out)
     }
 }
 
 /// Occurrences of the 4-bit `pattern` in nibble positions `[start, end)` of
-/// the packed `words`; `start` must be a multiple of
+/// the packed `words`, one word per step; `start` must be a multiple of
 /// [`NIBBLE_CHARS_PER_WORD`].
 #[inline]
-pub(crate) fn count_pattern_nibble(
-    words: &[u64],
-    pattern: u64,
-    start: usize,
-    end: usize,
-    backend: ActiveBackend,
-) -> usize {
+pub(crate) fn count_pattern_nibble(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
     debug_assert_eq!(start % NIBBLE_CHARS_PER_WORD, 0);
-    match backend {
-        ActiveBackend::Swar => count_pattern_nibble_swar(words, pattern, start, end),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        ActiveBackend::Sse2 => x86::count_pattern_nibble_sse2(words, pattern, start, end),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        // SAFETY: `Avx2` implies runtime AVX2 detection (see above).
-        ActiveBackend::Avx2 => unsafe {
-            x86::count_pattern_nibble_avx2(words, pattern, start, end)
-        },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        _ => count_pattern_nibble_swar(words, pattern, start, end),
+    let mut count = 0u32;
+    let mut pos = start;
+    let mut w = start / NIBBLE_CHARS_PER_WORD;
+    while pos < end {
+        let rem = (end - pos).min(NIBBLE_CHARS_PER_WORD);
+        count += (eq4(words[w], pattern) & nibble_mask(rem)).count_ones();
+        pos += rem;
+        w += 1;
     }
+    count as usize
 }
 
 /// Nibble histogram over `[start, end)`: `out[p] += 1` for every nibble
 /// value `p` (every stored nibble must be `< out.len()`); `start` must be a
-/// multiple of [`NIBBLE_CHARS_PER_WORD`].
+/// multiple of [`NIBBLE_CHARS_PER_WORD`].  Each storage word is loaded once
+/// and its nibbles shifted out.
 #[inline]
-pub(crate) fn nibble_histogram_into(
-    words: &[u64],
-    start: usize,
-    end: usize,
-    out: &mut [u32],
-    backend: ActiveBackend,
-) {
+pub(crate) fn nibble_histogram_into(words: &[u64], start: usize, end: usize, out: &mut [u32]) {
     debug_assert_eq!(start % NIBBLE_CHARS_PER_WORD, 0);
-    match backend {
-        ActiveBackend::Swar => nibble_histogram_swar(words, start, end, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        ActiveBackend::Sse2 => x86::nibble_histogram_sse2(words, start, end, out),
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
-        // SAFETY: `Avx2` implies runtime AVX2 detection (see above).
-        ActiveBackend::Avx2 => unsafe { x86::nibble_histogram_avx2(words, start, end, out) },
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        _ => nibble_histogram_swar(words, start, end, out),
+    let mut pos = start;
+    let mut w = start / NIBBLE_CHARS_PER_WORD;
+    while pos < end {
+        let rem = (end - pos).min(NIBBLE_CHARS_PER_WORD);
+        let mut word = words[w];
+        for _ in 0..rem {
+            out[(word & 0xF) as usize] += 1;
+            word >>= 4;
+        }
+        pos += rem;
+        w += 1;
     }
 }
 
-/// Total set bits across `words`.
-///
-/// Deliberately scalar on every backend: below AVX-512 `VPOPCNTDQ` a vector
-/// population count must emulate with shuffles, which loses to one hardware
-/// `popcnt` per word on the ≤ 8-word spans the rank bit-vector scans.
-/// Centralized here so the bit-vector shares the kernel module's single
-/// point of truth (and upgrades for free if a wider popcount ever pays off).
+/// Total set bits across `words` (the rank bit-vector's block scan).
 #[inline]
 pub(crate) fn popcount_words(words: &[u64]) -> u32 {
     words.iter().map(|w| w.count_ones()).sum()
 }
 
 // ---------------------------------------------------------------------------
-// SWAR kernels (portable fallback and bit-exactness reference).
+// SWAR helpers and the 2-bit SWAR kernels (the whole 2-bit path off x86-64;
+// on it, the reference the SSE2 kernels are tested against).
 // ---------------------------------------------------------------------------
 
 /// Low-bit-per-group equality mask: bit `2k` set iff 2-bit group `k` equals
 /// `pattern`.
+#[cfg(any(test, not(target_arch = "x86_64")))]
 #[inline]
 fn eq2(word: u64, pattern: u64) -> u64 {
     let lo = if pattern & 1 != 0 { word } else { !word };
@@ -387,33 +207,8 @@ fn nibble_mask(rem: usize) -> u64 {
     nibbles & NIBBLE_LOW_BITS
 }
 
-/// Number of bytes of `data` equal to `c`, eight bytes per SWAR step.
-fn count_eq_bytes_swar(data: &[u8], c: u8) -> usize {
-    let pattern = u64::from_ne_bytes([c; 8]);
-    let mut count = 0usize;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_ne_bytes(chunk.try_into().unwrap());
-        let x = word ^ pattern;
-        // Fold each byte onto its low bit: low bit set iff the byte is
-        // nonzero (all folds stay inside the byte, so this is exact — unlike
-        // the borrow-based `haszero` trick, which is only a predicate).
-        let mut folded = x | (x >> 4);
-        folded |= folded >> 2;
-        folded |= folded >> 1;
-        count += 8 - (folded & BYTE_LOW_BITS).count_ones() as usize;
-    }
-    count + chunks.remainder().iter().filter(|&&b| b == c).count()
-}
-
-/// Plain byte histogram (one table increment per character).
-fn byte_histogram_swar(data: &[u8], counts: &mut [u32]) {
-    for &b in data {
-        counts[b as usize] += 1;
-    }
-}
-
-/// Occurrences of the 2-bit `pattern` in `[start, end)`, one word per step.
+/// [`count_pattern_2bit`], one word per step.
+#[cfg(any(test, not(target_arch = "x86_64")))]
 fn count_pattern_2bit_swar(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
     let mut count = 0u32;
     let mut pos = start;
@@ -427,7 +222,8 @@ fn count_pattern_2bit_swar(words: &[u64], pattern: u64, start: usize, end: usize
     count as usize
 }
 
-/// Histogram of all four 2-bit patterns over `[start, end)` in one pass.
+/// [`count_all_2bit`], one word per step.
+#[cfg(any(test, not(target_arch = "x86_64")))]
 fn count_all_2bit_swar(words: &[u64], start: usize, end: usize, out: &mut [u32; 4]) {
     let mut pos = start;
     let mut w = start / CHARS_PER_WORD;
@@ -445,515 +241,133 @@ fn count_all_2bit_swar(words: &[u64], start: usize, end: usize, out: &mut [u32; 
     }
 }
 
-/// Occurrences of the 4-bit `pattern` in `[start, end)`, one word per step.
-fn count_pattern_nibble_swar(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
-    let mut count = 0u32;
-    let mut pos = start;
-    let mut w = start / NIBBLE_CHARS_PER_WORD;
-    while pos < end {
-        let rem = (end - pos).min(NIBBLE_CHARS_PER_WORD);
-        count += (eq4(words[w], pattern) & nibble_mask(rem)).count_ones();
-        pos += rem;
-        w += 1;
-    }
-    count as usize
-}
-
-/// Nibble histogram over `[start, end)`: each storage word is loaded once
-/// and its nibbles shifted out.
-fn nibble_histogram_swar(words: &[u64], start: usize, end: usize, out: &mut [u32]) {
-    let mut pos = start;
-    let mut w = start / NIBBLE_CHARS_PER_WORD;
-    while pos < end {
-        let rem = (end - pos).min(NIBBLE_CHARS_PER_WORD);
-        let mut word = words[w];
-        for _ in 0..rem {
-            out[(word & 0xF) as usize] += 1;
-            word >>= 4;
-        }
-        pos += rem;
-        w += 1;
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Bit-plane AND-trees (shared by the SSE2 and AVX2 histogram kernels).
-//
-// The SIMD histograms do not count value-by-value: per vector chunk they
-// extract one *bit plane* per value bit (a mask word whose bit `j` is bit
-// `k` of lane `j`, obtained with a shift + `movemask`), then combine the
-// planes through a binary AND-tree — the leaf for value `v` is the mask of
-// lanes equal to `v`, and one `popcnt` per leaf yields the histogram.
-// Cost is O(2^bits) AND + popcnt operations per span regardless of span
-// length, versus one table increment per character for the scalar pass, and
-// a span mask ANDed into the tree root confines the counts to the scanned
-// prefix, so whole chunks can be loaded without a scalar tail loop.
-// `L` is the number of plane words a span needs (1 while the prefix fits one
-// word of plane bits, 2 for a full 128-position block).
+// x86-64 SSE2 kernels.
 // ---------------------------------------------------------------------------
 
-/// Expand one depth-3 subtree (8 consecutive values rooted at `base`) of the
-/// byte tree over one plane word and add the leaf popcounts into `counts`;
-/// skipped entirely when the subtree lies beyond `counts.len()` (values that
-/// cannot occur).
-#[inline(always)]
-fn emit_octet(node: u64, p0: u64, p1: u64, p2: u64, base: usize, counts: &mut [u32]) {
-    if base >= counts.len() {
-        return;
-    }
-    let e0 = node & !p2;
-    let e1 = node & p2;
-    let f00 = e0 & !p1;
-    let f01 = e0 & p1;
-    let f10 = e1 & !p1;
-    let f11 = e1 & p1;
-    let leaves = [
-        f00 & !p0,
-        f00 & p0,
-        f01 & !p0,
-        f01 & p0,
-        f10 & !p0,
-        f10 & p0,
-        f11 & !p0,
-        f11 & p0,
-    ];
-    for (slot, leaf) in counts.iter_mut().skip(base).zip(leaves) {
-        *slot += leaf.count_ones();
-    }
-}
-
-/// Histogram of 5-bit values (bytes `< 32`) from the bit planes of one
-/// 64-position span: `p[k]` holds bit `k` of every position, `span` selects
-/// the positions to count.
-#[inline(always)]
-fn byte_plane_tree(p: &[u64; 5], span: u64, counts: &mut [u32]) {
-    let low = span & !p[4];
-    emit_octet(low & !p[3], p[0], p[1], p[2], 0, counts);
-    emit_octet(low & p[3], p[0], p[1], p[2], 8, counts);
-    if counts.len() > 16 {
-        let high = span & p[4];
-        emit_octet(high & !p[3], p[0], p[1], p[2], 16, counts);
-        emit_octet(high & p[3], p[0], p[1], p[2], 24, counts);
-    }
-}
-
-/// Histogram of 4-bit values (nibbles) from the bit planes of one
-/// 64-position span.
-#[inline(always)]
-fn nibble_plane_tree(p: &[u64; 4], span: u64, out: &mut [u32]) {
-    let n0 = span & !p[3];
-    let n1 = span & p[3];
-    let quads = [n0 & !p[2], n0 & p[2], n1 & !p[2], n1 & p[2]];
-    for (q, node) in quads.into_iter().enumerate() {
-        let base = 4 * q;
-        if base >= out.len() {
-            return;
-        }
-        let e0 = node & !p[1];
-        let e1 = node & p[1];
-        let leaves = [e0 & !p[0], e0 & p[0], e1 & !p[0], e1 & p[0]];
-        for (slot, leaf) in out.iter_mut().skip(base).zip(leaves) {
-            *slot += leaf.count_ones();
-        }
-    }
-}
-
-/// The lowest `n` bits set (`n ≤ 64`).
-#[inline(always)]
-fn low_bits(n: u64) -> u64 {
-    if n >= 64 {
-        !0
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
-// ---------------------------------------------------------------------------
-// x86-64 SIMD kernels.
-// ---------------------------------------------------------------------------
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-swar")))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2 (baseline, no detection needed) and AVX2 (runtime-detected)
-    //! implementations.  Each kernel consumes whole vector chunks and
-    //! cascades the tail to the next narrower implementation, so results are
-    //! exact for every prefix length.
+    //! SSE2 forms of the 2-bit kernels (x86-64 baseline, no detection).
     //!
-    //! The nibble and 2-bit kernels reinterpret the `u64` storage words as
-    //! bytes; the packed layouts are little-endian within each word, which
-    //! matches x86-64's memory order (byte `j` of a word holds nibbles
-    //! `2j`/`2j+1` and 2-bit groups `4j..4j+4`), so a byte-wise vector load
-    //! sees the characters in storage order.
+    //! Each step covers two words (64 characters); the last step of a span
+    //! masks off the characters past its end, so there is no scalar tail.
+    //! Match masks are counted in vector registers too: the x86-64 baseline
+    //! has no `popcnt` instruction, and a scalar `count_ones` there is a
+    //! dozen-instruction software sequence per word.
 
-    use super::{
-        byte_histogram_swar, byte_plane_tree, count_all_2bit_swar, count_eq_bytes_swar,
-        count_pattern_2bit_swar, count_pattern_nibble_swar, low_bits, nibble_histogram_swar,
-        nibble_plane_tree, CHARS_PER_WORD, GROUP_LOW_BITS,
-    };
+    use super::{group_mask, CHARS_PER_WORD};
     use std::arch::x86_64::*;
 
-    /// Nibbles per 256-bit chunk (32 bytes).
-    const NIBBLES_PER_AVX2: usize = 64;
-    /// Nibbles per 128-bit chunk (16 bytes).
-    const NIBBLES_PER_SSE2: usize = 32;
-    /// 2-bit characters per 256-bit chunk (4 words).
-    const CHARS_PER_AVX2: usize = 4 * CHARS_PER_WORD;
-    /// 2-bit characters per 128-bit chunk (2 words).
+    /// 2-bit characters per 128-bit step (2 words).
     const CHARS_PER_SSE2: usize = 2 * CHARS_PER_WORD;
 
-    /// The packed words viewed as bytes (storage order; see module docs).
+    /// The step starting at word `w` with `rem` characters left in the
+    /// span: the two words (the second zero when the span ends in the
+    /// first) and the group mask selecting only the characters in the span.
     #[inline]
-    fn words_as_bytes(words: &[u64]) -> &[u8] {
-        // SAFETY: u8 has no alignment or validity requirements and the view
-        // covers exactly the words' allocation.
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
-    }
-
-    /// Population count of a 128-bit register via two scalar `popcnt`s.
-    #[inline]
-    fn popcount128(v: __m128i) -> u32 {
+    fn load_step(words: &[u64], w: usize, rem: usize) -> (__m128i, __m128i) {
+        let lo = words[w];
+        let hi = if rem > CHARS_PER_WORD {
+            words[w + 1]
+        } else {
+            0
+        };
+        let span_lo = group_mask(rem);
+        let span_hi = group_mask(rem.saturating_sub(CHARS_PER_WORD));
         // SAFETY: SSE2 is part of the x86-64 baseline.
         unsafe {
-            let lo = _mm_cvtsi128_si64(v) as u64;
-            let hi = _mm_cvtsi128_si64(_mm_srli_si128(v, 8)) as u64;
-            lo.count_ones() + hi.count_ones()
+            (
+                _mm_set_epi64x(hi as i64, lo as i64),
+                _mm_set_epi64x(span_hi as i64, span_lo as i64),
+            )
         }
     }
 
-    /// Population count of a 256-bit register.
+    /// Set bits of `m` per 64-bit lane, for a mask whose set bits all sit
+    /// at even positions (at most one per 2-bit group, as every match mask
+    /// here does): sum the groups into nibbles, the nibbles into bytes and
+    /// the bytes into the lanes with `psadbw`.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    fn popcount256(v: __m256i) -> u32 {
-        popcount128(_mm256_castsi256_si128(v)) + popcount128(_mm256_extracti128_si256(v, 1))
-    }
-
-    // -- byte layout --------------------------------------------------------
-
-    /// [`super::count_eq_bytes`], 16 bytes per step.
-    pub fn count_eq_bytes_sse2(data: &[u8], c: u8) -> usize {
-        let mut count = 0u32;
-        let mut chunks = data.chunks_exact(16);
-        // SAFETY: SSE2 is part of the x86-64 baseline; every load reads 16
-        // in-bounds bytes of the chunk.
+    fn group_counts(m: __m128i) -> __m128i {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
         unsafe {
-            let needle = _mm_set1_epi8(c as i8);
-            for chunk in &mut chunks {
-                let v = _mm_loadu_si128(chunk.as_ptr().cast());
-                let eq = _mm_cmpeq_epi8(v, needle);
-                count += (_mm_movemask_epi8(eq) as u32).count_ones();
-            }
-        }
-        count as usize + count_eq_bytes_swar(chunks.remainder(), c)
-    }
-
-    /// [`super::count_eq_bytes`], 32 bytes per step.
-    #[target_feature(enable = "avx2")]
-    pub fn count_eq_bytes_avx2(data: &[u8], c: u8) -> usize {
-        let mut count = 0u32;
-        let mut chunks = data.chunks_exact(32);
-        let needle = _mm256_set1_epi8(c as i8);
-        for chunk in &mut chunks {
-            // SAFETY: the load reads 32 in-bounds bytes of the chunk.
-            let v = unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) };
-            let eq = _mm256_cmpeq_epi8(v, needle);
-            count += (_mm256_movemask_epi8(eq) as u32).count_ones();
-        }
-        count as usize + count_eq_bytes_sse2(chunks.remainder(), c)
-    }
-
-    /// [`super::byte_histogram_prefix`] via bit planes, 16 bytes per chunk
-    /// (plane segments of 16 bits, four chunks packed per plane word).
-    /// The alphabet/length cutoffs were applied by the dispatcher; only the
-    /// block-shorter-than-one-chunk case (end of text) bails here.
-    pub fn byte_histogram_prefix_sse2(data: &[u8], start: usize, end: usize, counts: &mut [u32]) {
-        let len = end - start;
-        let block = &data[start..];
-        if block.len() < 16 {
-            return byte_histogram_swar(&block[..len], counts);
-        }
-        let vec_len = len.min(block.len() / 16 * 16);
-        let chunk_count = vec_len.div_ceil(16).min(2 * PLANE_CHUNKS_SSE2);
-        let mut planes = [[0u64; 2]; 5];
-        // SAFETY: SSE2 baseline; chunk `ci` starts below `vec_len ≤
-        // block.len()` rounded down to a chunk multiple, so each load reads
-        // 16 in-bounds bytes.
-        unsafe {
-            for ci in 0..chunk_count {
-                let v = _mm_loadu_si128(block.as_ptr().add(ci * 16).cast());
-                let (w, sh) = (ci / PLANE_CHUNKS_SSE2, 16 * (ci % PLANE_CHUNKS_SSE2));
-                planes[0][w] |= ((_mm_movemask_epi8(_mm_slli_epi16(v, 7)) as u16) as u64) << sh;
-                planes[1][w] |= ((_mm_movemask_epi8(_mm_slli_epi16(v, 6)) as u16) as u64) << sh;
-                planes[2][w] |= ((_mm_movemask_epi8(_mm_slli_epi16(v, 5)) as u16) as u64) << sh;
-                planes[3][w] |= ((_mm_movemask_epi8(_mm_slli_epi16(v, 4)) as u16) as u64) << sh;
-                planes[4][w] |= ((_mm_movemask_epi8(_mm_slli_epi16(v, 3)) as u16) as u64) << sh;
-            }
-        }
-        let covered = (chunk_count * 16).min(vec_len);
-        run_byte_tree(&planes, covered, counts);
-        byte_histogram_swar(&block[covered..len], counts);
-    }
-
-    /// [`super::byte_histogram_prefix`] via bit planes, 32 bytes per chunk.
-    #[target_feature(enable = "avx2")]
-    pub fn byte_histogram_prefix_avx2(data: &[u8], start: usize, end: usize, counts: &mut [u32]) {
-        let len = end - start;
-        let block = &data[start..];
-        if block.len() < 32 {
-            return byte_histogram_prefix_sse2(data, start, end, counts);
-        }
-        let vec_len = len.min(block.len() / 32 * 32);
-        let chunk_count = vec_len.div_ceil(32).min(2 * PLANE_CHUNKS_AVX2);
-        let mut planes = [[0u64; 2]; 5];
-        for ci in 0..chunk_count {
-            // SAFETY: chunk `ci` starts below `vec_len ≤ block.len()`
-            // rounded down to a chunk multiple, so the load reads 32
-            // in-bounds bytes.
-            let v = unsafe { _mm256_loadu_si256(block.as_ptr().add(ci * 32).cast()) };
-            let (w, sh) = (ci / PLANE_CHUNKS_AVX2, 32 * (ci % PLANE_CHUNKS_AVX2));
-            planes[0][w] |= ((_mm256_movemask_epi8(_mm256_slli_epi16(v, 7)) as u32) as u64) << sh;
-            planes[1][w] |= ((_mm256_movemask_epi8(_mm256_slli_epi16(v, 6)) as u32) as u64) << sh;
-            planes[2][w] |= ((_mm256_movemask_epi8(_mm256_slli_epi16(v, 5)) as u32) as u64) << sh;
-            planes[3][w] |= ((_mm256_movemask_epi8(_mm256_slli_epi16(v, 4)) as u32) as u64) << sh;
-            planes[4][w] |= ((_mm256_movemask_epi8(_mm256_slli_epi16(v, 3)) as u32) as u64) << sh;
-        }
-        let covered = (chunk_count * 32).min(vec_len);
-        run_byte_tree(&planes, covered, counts);
-        byte_histogram_swar(&block[covered..len], counts);
-    }
-
-    /// Chunks per 64-bit plane word (SSE2: 16-bit segments).
-    const PLANE_CHUNKS_SSE2: usize = 4;
-    /// Chunks per 64-bit plane word (AVX2: 32-bit segments).
-    const PLANE_CHUNKS_AVX2: usize = 2;
-
-    /// Run the byte AND-tree over `covered` plane bits: one pass per
-    /// 64-position plane word the span touches.
-    #[inline]
-    fn run_byte_tree(planes: &[[u64; 2]; 5], covered: usize, counts: &mut [u32]) {
-        let first: [u64; 5] = std::array::from_fn(|k| planes[k][0]);
-        byte_plane_tree(&first, low_bits(covered.min(64) as u64), counts);
-        if covered > 64 {
-            let second: [u64; 5] = std::array::from_fn(|k| planes[k][1]);
-            byte_plane_tree(&second, low_bits(covered as u64 - 64), counts);
+            let pairs = _mm_set1_epi8(0x33);
+            let nibbles = _mm_set1_epi8(0x0F);
+            let x = _mm_add_epi8(
+                _mm_and_si128(m, pairs),
+                _mm_and_si128(_mm_srli_epi16(m, 2), pairs),
+            );
+            let x = _mm_and_si128(_mm_add_epi8(x, _mm_srli_epi16(x, 4)), nibbles);
+            _mm_sad_epu8(x, _mm_setzero_si128())
         }
     }
-
-    // -- 2-bit packed layout ------------------------------------------------
 
     /// [`super::count_pattern_2bit`], two words (64 characters) per step.
+    #[inline]
     pub fn count_pattern_2bit_sse2(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
         let mut pos = start;
         let mut w = start / CHARS_PER_WORD;
-        let mut count = 0u32;
-        // SAFETY: SSE2 baseline; each load reads words[w..w + 2], in bounds
-        // because `end` characters exist in storage.
+        // SAFETY: SSE2 is part of the x86-64 baseline; no intrinsic here
+        // touches memory.
         unsafe {
             // eq2 vectorized: lo = word ^ (p&1 ? 0 : !0), hi = (word >> 1)
-            // ^ (p&2 ? 0 : !0), mask = lo & hi & GROUP_LOW_BITS.
+            // ^ (p&2 ? 0 : !0), mask = lo & hi & span.
             let flip_lo = _mm_set1_epi64x(if pattern & 1 != 0 { 0 } else { -1 });
             let flip_hi = _mm_set1_epi64x(if pattern & 2 != 0 { 0 } else { -1 });
-            let group = _mm_set1_epi64x(GROUP_LOW_BITS as i64);
-            while end - pos >= CHARS_PER_SSE2 {
-                let v = _mm_loadu_si128(words.as_ptr().add(w).cast());
+            let mut counts = _mm_setzero_si128();
+            while pos < end {
+                let rem = end - pos;
+                let (v, span) = load_step(words, w, rem);
                 let lo = _mm_xor_si128(v, flip_lo);
                 let hi = _mm_xor_si128(_mm_srli_epi64(v, 1), flip_hi);
-                let m = _mm_and_si128(_mm_and_si128(lo, hi), group);
-                count += popcount128(m);
-                pos += CHARS_PER_SSE2;
+                let m = _mm_and_si128(_mm_and_si128(lo, hi), span);
+                counts = _mm_add_epi64(counts, group_counts(m));
+                pos += rem.min(CHARS_PER_SSE2);
                 w += 2;
             }
+            let total = _mm_add_epi64(counts, _mm_srli_si128(counts, 8));
+            _mm_cvtsi128_si64(total) as usize
         }
-        count as usize + count_pattern_2bit_swar(words, pattern, pos, end)
     }
 
-    /// [`super::count_pattern_2bit`], four words (128 characters) per step.
-    #[target_feature(enable = "avx2")]
-    pub fn count_pattern_2bit_avx2(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
-        let mut pos = start;
-        let mut w = start / CHARS_PER_WORD;
-        let mut count = 0u32;
-        let flip_lo = _mm256_set1_epi64x(if pattern & 1 != 0 { 0 } else { -1 });
-        let flip_hi = _mm256_set1_epi64x(if pattern & 2 != 0 { 0 } else { -1 });
-        let group = _mm256_set1_epi64x(GROUP_LOW_BITS as i64);
-        while end - pos >= CHARS_PER_AVX2 {
-            // SAFETY: the load reads words[w..w + 4], in bounds because
-            // `end` characters exist in storage.
-            let v = unsafe { _mm256_loadu_si256(words.as_ptr().add(w).cast()) };
-            let lo = _mm256_xor_si256(v, flip_lo);
-            let hi = _mm256_xor_si256(_mm256_srli_epi64(v, 1), flip_hi);
-            let m = _mm256_and_si256(_mm256_and_si256(lo, hi), group);
-            count += popcount256(m);
-            pos += CHARS_PER_AVX2;
-            w += 4;
-        }
-        count as usize + count_pattern_2bit_sse2(words, pattern, pos, end)
-    }
-
-    /// [`super::count_all_2bit`], two words per step: the four pattern masks
-    /// share one load and the lo/hi planes.
+    /// [`super::count_all_2bit`], two words per step.  Three counts give
+    /// all four patterns: `H` characters with the high bit set, `L` with the
+    /// low bit set and `B` with both, so pattern 3 occurs `B` times,
+    /// pattern 2 `H - B`, pattern 1 `L - B` and pattern 0 `n - H - L + B`
+    /// in a step of `n` characters.
+    #[inline]
     pub fn count_all_2bit_sse2(words: &[u64], start: usize, end: usize, out: &mut [u32; 4]) {
         let mut pos = start;
         let mut w = start / CHARS_PER_WORD;
-        // SAFETY: SSE2 baseline; each load reads words[w..w + 2] in bounds.
-        unsafe {
-            let group = _mm_set1_epi64x(GROUP_LOW_BITS as i64);
-            while end - pos >= CHARS_PER_SSE2 {
-                let v = _mm_loadu_si128(words.as_ptr().add(w).cast());
-                let lo = v;
-                let hi = _mm_srli_epi64(v, 1);
-                let lo_g = _mm_and_si128(lo, group);
-                let hi_g = _mm_and_si128(hi, group);
-                // andnot(a, b) = !a & b.
-                out[0] += popcount128(_mm_andnot_si128(hi, _mm_andnot_si128(lo, group)));
-                out[1] += popcount128(_mm_andnot_si128(hi, lo_g));
-                out[2] += popcount128(_mm_andnot_si128(lo, hi_g));
-                out[3] += popcount128(_mm_and_si128(hi_g, lo));
-                pos += CHARS_PER_SSE2;
-                w += 2;
-            }
+        while pos < end {
+            let n = (end - pos).min(CHARS_PER_SSE2);
+            let (v, span) = load_step(words, w, n);
+            // SAFETY: SSE2 is part of the x86-64 baseline; no intrinsic
+            // here touches memory.
+            let packed = unsafe {
+                let lo = _mm_and_si128(v, span);
+                let hi = _mm_and_si128(_mm_srli_epi64(v, 1), span);
+                let h = group_counts(hi);
+                let l = group_counts(lo);
+                let b = group_counts(_mm_and_si128(hi, lo));
+                // A lane holds at most 32 characters, so the three counts
+                // pack into 16-bit fields of one lane.
+                let c = _mm_or_si128(
+                    _mm_or_si128(h, _mm_slli_epi64(l, 16)),
+                    _mm_slli_epi64(b, 32),
+                );
+                _mm_cvtsi128_si64(_mm_add_epi64(c, _mm_srli_si128(c, 8))) as u64
+            };
+            let h = (packed & 0xFFFF) as u32;
+            let l = ((packed >> 16) & 0xFFFF) as u32;
+            let b = (packed >> 32) as u32;
+            out[0] += n as u32 + b - h - l;
+            out[1] += l - b;
+            out[2] += h - b;
+            out[3] += b;
+            pos += n;
+            w += 2;
         }
-        count_all_2bit_swar(words, pos, end, out);
-    }
-
-    /// [`super::count_all_2bit`], four words per step.
-    #[target_feature(enable = "avx2")]
-    pub fn count_all_2bit_avx2(words: &[u64], start: usize, end: usize, out: &mut [u32; 4]) {
-        let mut pos = start;
-        let mut w = start / CHARS_PER_WORD;
-        let group = _mm256_set1_epi64x(GROUP_LOW_BITS as i64);
-        while end - pos >= CHARS_PER_AVX2 {
-            // SAFETY: the load reads words[w..w + 4] in bounds.
-            let v = unsafe { _mm256_loadu_si256(words.as_ptr().add(w).cast()) };
-            let lo = v;
-            let hi = _mm256_srli_epi64(v, 1);
-            let lo_g = _mm256_and_si256(lo, group);
-            let hi_g = _mm256_and_si256(hi, group);
-            out[0] += popcount256(_mm256_andnot_si256(hi, _mm256_andnot_si256(lo, group)));
-            out[1] += popcount256(_mm256_andnot_si256(hi, lo_g));
-            out[2] += popcount256(_mm256_andnot_si256(lo, hi_g));
-            out[3] += popcount256(_mm256_and_si256(hi_g, lo));
-            pos += CHARS_PER_AVX2;
-            w += 4;
-        }
-        count_all_2bit_sse2(words, pos, end, out);
-    }
-
-    // -- 4-bit nibble layout ------------------------------------------------
-
-    /// [`super::count_pattern_nibble`], 32 nibbles (16 bytes) per step: the
-    /// low and high nibble planes are compared byte-wise against the
-    /// broadcast pattern.
-    pub fn count_pattern_nibble_sse2(
-        words: &[u64],
-        pattern: u64,
-        start: usize,
-        end: usize,
-    ) -> usize {
-        let bytes = words_as_bytes(words);
-        let mut pos = start;
-        let mut count = 0u32;
-        // SAFETY: SSE2 baseline; each load reads bytes[pos/2..pos/2 + 16],
-        // in bounds because `end` nibbles exist in storage.
-        unsafe {
-            let needle = _mm_set1_epi8(pattern as i8);
-            let low_mask = _mm_set1_epi8(0x0F);
-            while end - pos >= NIBBLES_PER_SSE2 {
-                let v = _mm_loadu_si128(bytes.as_ptr().add(pos / 2).cast());
-                let lo = _mm_and_si128(v, low_mask);
-                let hi = _mm_and_si128(_mm_srli_epi16(v, 4), low_mask);
-                count += (_mm_movemask_epi8(_mm_cmpeq_epi8(lo, needle)) as u32).count_ones();
-                count += (_mm_movemask_epi8(_mm_cmpeq_epi8(hi, needle)) as u32).count_ones();
-                pos += NIBBLES_PER_SSE2;
-            }
-        }
-        count as usize + count_pattern_nibble_swar(words, pattern, pos, end)
-    }
-
-    /// [`super::count_pattern_nibble`], 64 nibbles (32 bytes) per step.
-    #[target_feature(enable = "avx2")]
-    pub fn count_pattern_nibble_avx2(
-        words: &[u64],
-        pattern: u64,
-        start: usize,
-        end: usize,
-    ) -> usize {
-        let bytes = words_as_bytes(words);
-        let mut pos = start;
-        let mut count = 0u32;
-        let needle = _mm256_set1_epi8(pattern as i8);
-        let low_mask = _mm256_set1_epi8(0x0F);
-        while end - pos >= NIBBLES_PER_AVX2 {
-            // SAFETY: the load reads bytes[pos/2..pos/2 + 32] in bounds.
-            let v = unsafe { _mm256_loadu_si256(bytes.as_ptr().add(pos / 2).cast()) };
-            let lo = _mm256_and_si256(v, low_mask);
-            let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-            count += (_mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, needle)) as u32).count_ones();
-            count += (_mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, needle)) as u32).count_ones();
-            pos += NIBBLES_PER_AVX2;
-        }
-        count as usize + count_pattern_nibble_sse2(words, pattern, pos, end)
-    }
-
-    /// [`super::nibble_histogram_into`] via bit planes, 32 nibbles (16
-    /// bytes) per chunk.
-    ///
-    /// Plane bit layout per chunk word (32 bits): bit `j` is the low nibble
-    /// of byte `j` (nibble `2j`), bit `16 + j` the high nibble (nibble
-    /// `2j + 1`).  A histogram is order-blind, so the interleaved nibble
-    /// order inside the plane is irrelevant — only the span mask has to
-    /// follow the same layout.
-    pub fn nibble_histogram_sse2(words: &[u64], start: usize, end: usize, out: &mut [u32]) {
-        let bytes = words_as_bytes(words);
-        let mut pos = start;
-        // SAFETY: SSE2 baseline; each load reads bytes[pos/2..pos/2 + 16],
-        // kept in bounds by the explicit check below.
-        unsafe {
-            while end - pos >= 16 && pos / 2 + 16 <= bytes.len() {
-                let in_chunk = (end - pos).min(NIBBLES_PER_SSE2);
-                let v = _mm_loadu_si128(bytes.as_ptr().add(pos / 2).cast());
-                macro_rules! plane {
-                    ($lo_sh:literal, $hi_sh:literal) => {{
-                        let lo = (_mm_movemask_epi8(_mm_slli_epi16(v, $lo_sh)) as u16) as u64;
-                        let hi = (_mm_movemask_epi8(_mm_slli_epi16(v, $hi_sh)) as u16) as u64;
-                        lo | (hi << 16)
-                    }};
-                }
-                let planes: [u64; 4] = [plane!(7, 3), plane!(6, 2), plane!(5, 1), plane!(4, 0)];
-                let span =
-                    low_bits((in_chunk as u64).div_ceil(2)) | (low_bits(in_chunk as u64 / 2) << 16);
-                nibble_plane_tree(&planes, span, out);
-                pos += in_chunk;
-            }
-        }
-        nibble_histogram_swar(words, pos, end, out);
-    }
-
-    /// [`super::nibble_histogram_into`] via bit planes, 64 nibbles (32
-    /// bytes) per chunk; plane layout mirrors the SSE2 kernel with 32-bit
-    /// halves (`lo | hi << 32`).
-    #[target_feature(enable = "avx2")]
-    pub fn nibble_histogram_avx2(words: &[u64], start: usize, end: usize, out: &mut [u32]) {
-        let bytes = words_as_bytes(words);
-        let mut pos = start;
-        while end - pos >= 32 && pos / 2 + 32 <= bytes.len() {
-            let in_chunk = (end - pos).min(NIBBLES_PER_AVX2);
-            // SAFETY: the load reads bytes[pos/2..pos/2 + 32], in bounds by
-            // the loop condition.
-            let v = unsafe { _mm256_loadu_si256(bytes.as_ptr().add(pos / 2).cast()) };
-            macro_rules! plane {
-                ($lo_sh:literal, $hi_sh:literal) => {{
-                    let lo = (_mm256_movemask_epi8(_mm256_slli_epi16(v, $lo_sh)) as u32) as u64;
-                    let hi = (_mm256_movemask_epi8(_mm256_slli_epi16(v, $hi_sh)) as u32) as u64;
-                    lo | (hi << 32)
-                }};
-            }
-            let planes: [u64; 4] = [plane!(7, 3), plane!(6, 2), plane!(5, 1), plane!(4, 0)];
-            let span =
-                low_bits((in_chunk as u64).div_ceil(2)) | (low_bits(in_chunk as u64 / 2) << 32);
-            nibble_plane_tree(&planes, span, out);
-            pos += in_chunk;
-        }
-        nibble_histogram_sse2(words, pos, end, out);
     }
 }
 
@@ -968,119 +382,100 @@ mod tests {
         *state
     }
 
-    /// Every backend the running build can exercise.
-    fn backends() -> Vec<ActiveBackend> {
-        let mut backends = vec![ActiveBackend::Swar];
-        let best = ScanBackend::Simd.resolve();
-        if best == ActiveBackend::Avx2 {
-            backends.push(ActiveBackend::Sse2);
+    /// Ragged spans starting on word boundaries: empty, one character,
+    /// either side of one and two SSE2 steps, a full checkpoint block and
+    /// the whole (non-word-multiple) buffer.
+    fn spans(chars: usize, word: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for start_word in [0usize, 1, 4] {
+            let start = start_word * word;
+            for len in [0usize, 1, 31, 32, 33, 63, 64, 65, 127, 128, 130] {
+                if start + len <= chars {
+                    out.push((start, start + len));
+                }
+            }
+            out.push((start, chars));
         }
-        if best.is_simd() {
-            backends.push(best);
-        }
-        backends
+        out
     }
 
     #[test]
-    fn backend_resolution_is_sane() {
-        assert_eq!(ScanBackend::Swar.resolve(), ActiveBackend::Swar);
-        let auto = ScanBackend::Auto.resolve();
-        assert_eq!(auto, ScanBackend::Simd.resolve());
-        #[cfg(not(all(target_arch = "x86_64", not(feature = "force-swar"))))]
-        assert_eq!(auto, ActiveBackend::Swar);
-        assert_eq!(ActiveBackend::Avx2.name(), "avx2");
-        assert!(!ActiveBackend::Swar.is_simd());
-        assert!(ActiveBackend::Sse2.is_simd());
-    }
-
-    #[test]
-    fn byte_kernels_agree_across_backends() {
+    fn byte_kernels_match_naive_counts() {
         let mut state = 11u64;
         for code_count in [6usize, 23, 31] {
             let data: Vec<u8> = (0..200)
                 .map(|_| (xorshift(&mut state) % code_count as u64) as u8)
                 .collect();
-            for backend in backends() {
-                for c in 0..code_count as u8 {
-                    for len in [0usize, 1, 7, 16, 31, 33, 64, 127, 128, 200] {
-                        assert_eq!(
-                            count_eq_bytes(&data[..len], c, backend),
-                            data[..len].iter().filter(|&&b| b == c).count(),
-                            "backend {backend} len {len} c {c}"
-                        );
-                    }
+            for (start, end) in spans(data.len(), 8) {
+                let span = &data[start..end];
+                let mut expected = vec![0u32; code_count];
+                for &b in span {
+                    expected[b as usize] += 1;
                 }
-                // Prefix histograms at every (start, end) shape the scan
-                // sees: block-aligned starts, arbitrary ends, including
-                // ends close to the data's end (partial trailing chunk).
-                for start in [0usize, 64, 128] {
-                    for end in [
-                        start,
-                        start + 1,
-                        start + 31,
-                        start + 32,
-                        start + 63,
-                        137,
-                        200,
-                    ] {
-                        if end < start || end > data.len() {
-                            continue;
-                        }
-                        let mut expected = vec![0u32; code_count];
-                        for &b in &data[start..end] {
-                            expected[b as usize] += 1;
-                        }
-                        let mut counts = vec![0u32; code_count];
-                        byte_histogram_prefix(&data, start, end, &mut counts, backend);
-                        assert_eq!(
-                            counts, expected,
-                            "backend {backend} code_count {code_count} [{start}, {end})"
-                        );
-                    }
+                let mut counts = vec![0u32; code_count];
+                byte_histogram(span, &mut counts);
+                assert_eq!(counts, expected, "code_count {code_count} [{start}, {end})");
+                for c in 0..code_count as u8 {
+                    assert_eq!(
+                        count_eq_bytes(span, c) as u32,
+                        expected[c as usize],
+                        "c {c} [{start}, {end})"
+                    );
                 }
             }
         }
     }
 
-    #[test]
-    fn two_bit_kernels_agree_across_backends() {
+    /// Naive 2-bit count over `[start, end)`.
+    fn naive_2bit(words: &[u64], pattern: u64, start: usize, end: usize) -> usize {
+        (start..end)
+            .filter(|&i| (words[i / CHARS_PER_WORD] >> (2 * (i % CHARS_PER_WORD))) & 3 == pattern)
+            .count()
+    }
+
+    /// Check one 2-bit kernel pair against the naive count on ragged spans.
+    fn check_2bit(
+        name: &str,
+        count_pattern: fn(&[u64], u64, usize, usize) -> usize,
+        count_all: fn(&[u64], usize, usize, &mut [u32; 4]),
+    ) {
         let mut state = 77u64;
-        let chars: usize = 512 + 13; // several AVX2 chunks plus a ragged tail
+        let chars: usize = 512 + 13;
         let words: Vec<u64> = (0..chars.div_ceil(CHARS_PER_WORD))
             .map(|_| xorshift(&mut state))
             .collect();
-        let naive = |pattern: u64, start: usize, end: usize| -> usize {
-            (start..end)
-                .filter(|&i| {
-                    (words[i / CHARS_PER_WORD] >> (2 * (i % CHARS_PER_WORD))) & 3 == pattern
-                })
-                .count()
-        };
-        for backend in backends() {
-            for start_block in [0usize, 1, 4] {
-                let start = start_block * CHARS_PER_WORD;
-                for end in [start, start + 1, start + 63, start + 64, start + 130, chars] {
-                    if end < start || end > chars {
-                        continue;
-                    }
-                    let mut all = [0u32; 4];
-                    count_all_2bit(&words, start, end, &mut all, backend);
-                    for pattern in 0..4u64 {
-                        let expected = naive(pattern, start, end);
-                        assert_eq!(
-                            count_pattern_2bit(&words, pattern, start, end, backend),
-                            expected,
-                            "backend {backend} pattern {pattern} [{start}, {end})"
-                        );
-                        assert_eq!(all[pattern as usize] as usize, expected);
-                    }
-                }
+        for (start, end) in spans(chars, CHARS_PER_WORD) {
+            let mut all = [0u32; 4];
+            count_all(&words, start, end, &mut all);
+            for pattern in 0..4u64 {
+                let expected = naive_2bit(&words, pattern, start, end);
+                assert_eq!(
+                    count_pattern(&words, pattern, start, end),
+                    expected,
+                    "{name} pattern {pattern} [{start}, {end})"
+                );
+                assert_eq!(all[pattern as usize] as usize, expected, "{name} histogram");
             }
         }
     }
 
     #[test]
-    fn nibble_kernels_agree_across_backends() {
+    fn swar_two_bit_kernels_match_naive_counts() {
+        check_2bit("swar", count_pattern_2bit_swar, count_all_2bit_swar);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_two_bit_kernels_match_naive_counts() {
+        check_2bit(
+            "sse2",
+            x86::count_pattern_2bit_sse2,
+            x86::count_all_2bit_sse2,
+        );
+    }
+
+    #[test]
+    fn nibble_kernels_match_naive_counts() {
         let mut state = 99u64;
         let nibbles: usize = 256 + 9;
         let words: Vec<u64> = (0..nibbles.div_ceil(NIBBLE_CHARS_PER_WORD))
@@ -1089,35 +484,20 @@ mod tests {
         let nibble_at = |i: usize| -> usize {
             ((words[i / NIBBLE_CHARS_PER_WORD] >> (4 * (i % NIBBLE_CHARS_PER_WORD))) & 0xF) as usize
         };
-        for backend in backends() {
-            for start_block in [0usize, 1, 3] {
-                let start = start_block * NIBBLE_CHARS_PER_WORD;
-                for end in [
-                    start,
-                    start + 5,
-                    start + 32,
-                    start + 64,
-                    start + 100,
-                    nibbles,
-                ] {
-                    if end < start || end > nibbles {
-                        continue;
-                    }
-                    let mut expected = [0u32; 16];
-                    for i in start..end {
-                        expected[nibble_at(i)] += 1;
-                    }
-                    let mut hist = [0u32; 16];
-                    nibble_histogram_into(&words, start, end, &mut hist, backend);
-                    assert_eq!(hist, expected, "backend {backend} [{start}, {end})");
-                    for pattern in 0..16u64 {
-                        assert_eq!(
-                            count_pattern_nibble(&words, pattern, start, end, backend),
-                            expected[pattern as usize] as usize,
-                            "backend {backend} pattern {pattern} [{start}, {end})"
-                        );
-                    }
-                }
+        for (start, end) in spans(nibbles, NIBBLE_CHARS_PER_WORD) {
+            let mut expected = [0u32; 16];
+            for i in start..end {
+                expected[nibble_at(i)] += 1;
+            }
+            let mut hist = [0u32; 16];
+            nibble_histogram_into(&words, start, end, &mut hist);
+            assert_eq!(hist, expected, "[{start}, {end})");
+            for pattern in 0..16u64 {
+                assert_eq!(
+                    count_pattern_nibble(&words, pattern, start, end),
+                    expected[pattern as usize] as usize,
+                    "pattern {pattern} [{start}, {end})"
+                );
             }
         }
     }

@@ -14,9 +14,7 @@
 use crate::fm_index::{FmIndex, SaRange, MAX_CODE_COUNT};
 use crate::options::IndexOptions;
 use crate::rank::{CheckpointScheme, RankLayout, ScanSnapshot};
-use crate::simd::{ActiveBackend, ScanBackend};
 use alae_bioseq::SharedBytes;
-use std::sync::Arc;
 
 /// Largest number of children a trie node can have (`MAX_CODE_COUNT` minus
 /// the separator, which never labels an edge).
@@ -129,76 +127,8 @@ impl TextIndex {
         IndexOptions::new().build_text_index(text, code_count)
     }
 
-    /// Build the index around an already-shared text without copying it —
-    /// the constructor for aligners over a shared `SequenceDatabase` text.
-    #[deprecated(note = "use IndexOptions::new().build_text_index(..)")]
-    pub fn from_shared(text: Arc<Vec<u8>>, code_count: usize) -> Self {
-        IndexOptions::new().build_text_index(text, code_count)
-    }
-
-    /// Build with an explicit rank-storage layout (see [`RankLayout`]); used
-    /// to compare the packed and generic scan paths on the same text.
-    #[deprecated(note = "use IndexOptions::new().layout(..).build_text_index(..)")]
-    pub fn with_layout(text: Vec<u8>, code_count: usize, layout: RankLayout) -> Self {
-        IndexOptions::new()
-            .layout(layout)
-            .build_text_index(text, code_count)
-    }
-
-    /// Build with an explicit rank-storage layout *and* checkpoint scheme
-    /// (the flat `u32` scheme exists for comparison benchmarks; see
-    /// [`CheckpointScheme`]).  The scan backend comes from
-    /// [`crate::simd::default_backend`].
-    #[deprecated(note = "use IndexOptions::new().layout(..).checkpoints(..).build_text_index(..)")]
-    pub fn with_occ_options(
-        text: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-    ) -> Self {
-        IndexOptions::new()
-            .layout(layout)
-            .checkpoints(scheme)
-            .build_text_index(text, code_count)
-    }
-
-    /// Build with an explicit in-block scan backend on top of the layout and
-    /// checkpoint knobs (forced-SWAR/forced-SIMD indexes for the
-    /// backend-agreement tests and the per-backend rank benchmarks; see
-    /// [`ScanBackend`]).
-    #[deprecated(note = "use IndexOptions::new().backend(..).build_text_index(..)")]
-    pub fn with_scan_backend(
-        text: Vec<u8>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> Self {
-        IndexOptions::new()
-            .layout(layout)
-            .checkpoints(scheme)
-            .backend(backend)
-            .build_text_index(text, code_count)
-    }
-
-    /// The fully-explicit constructor over a shared text.
-    #[deprecated(note = "use IndexOptions::new().backend(..).build_text_index(..)")]
-    pub fn with_scan_backend_shared(
-        text: Arc<Vec<u8>>,
-        code_count: usize,
-        layout: RankLayout,
-        scheme: CheckpointScheme,
-        backend: ScanBackend,
-    ) -> Self {
-        IndexOptions::new()
-            .layout(layout)
-            .checkpoints(scheme)
-            .backend(backend)
-            .build_text_index(text, code_count)
-    }
-
-    /// The one real constructor ([`IndexOptions::build_text_index`] and
-    /// every deprecated constructor funnel here).
+    /// The one real constructor ([`TextIndex::new`] and
+    /// [`IndexOptions::build_text_index`] funnel here).
     pub(crate) fn build(text: SharedBytes, code_count: usize, options: &IndexOptions) -> Self {
         let reversed: Vec<u8> = text.iter().rev().copied().collect();
         let fm_reverse = FmIndex::build(
@@ -207,7 +137,6 @@ impl TextIndex {
             options.sample_rate,
             options.layout,
             options.checkpoints,
-            options.backend,
         );
         Self {
             text,
@@ -264,11 +193,6 @@ impl TextIndex {
     /// The checkpoint scheme selected at construction.
     pub fn checkpoint_scheme(&self) -> CheckpointScheme {
         self.fm_reverse.checkpoint_scheme()
-    }
-
-    /// The in-block scan backend resolved at construction.
-    pub fn scan_backend(&self) -> ActiveBackend {
-        self.fm_reverse.scan_backend()
     }
 
     /// Footprint of the occurrence table alone (BWT storage + checkpoint

@@ -59,7 +59,7 @@ use alae_bwtsw::{BwtswAligner, BwtswConfig, BwtswStats};
 use alae_core::{
     AlaeAligner, AlaeConfig, AlaeStats, DominationIndex, FilterToggles, ThresholdSpec,
 };
-use alae_suffix::{CheckpointScheme, IndexOptions, RankLayout, ScanBackend, TextIndex};
+use alae_suffix::{CheckpointScheme, IndexOptions, RankLayout, TextIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -76,14 +76,13 @@ pub use alae_bioseq::guard::{CancelOnDrop, CancelToken, SearchError, SearchGuard
 /// The one way to turn a [`SequenceDatabase`] into an [`IndexedDatabase`].
 ///
 /// Every index-construction knob lives here — occurrence-table layout,
-/// checkpoint scheme, scan backend, suffix-array sample rate — replacing
-/// the former constructor zoo (`TextIndex::with_layout`,
-/// `with_scan_backend`, `FmIndex::with_sample_rate`, …), which survives
-/// only as `#[deprecated]` shims forwarding to
-/// [`alae_suffix::IndexOptions`].  There is deliberately **no** q-gram knob: `q` is a
-/// property of the scoring scheme (Equation 2 of the paper), derived per
-/// request from [`ScoringScheme::q`], and the q-gram inverted lists are
-/// built per *query*, not stored with the database.  The dominate index,
+/// checkpoint scheme, suffix-array sample rate — forwarded to
+/// [`alae_suffix::IndexOptions`].  The in-block scan kernel is not a knob:
+/// the platform picks it at compile time.  There is deliberately **no**
+/// q-gram knob: `q` is a property of the scoring scheme (Equation 2 of the
+/// paper), derived per request from [`ScoringScheme::q`], and the q-gram
+/// inverted lists are built per *query*, not stored with the database.
+/// The dominate index,
 /// which also depends on `q`, is built on first use and kept in memory with
 /// the [`IndexedDatabase`] (see [`IndexedDatabase::domination_index`]).
 ///
@@ -109,7 +108,7 @@ pub struct IndexBuilder {
 
 impl IndexBuilder {
     /// A builder with the default options (auto layout, default checkpoint
-    /// scheme, auto-detected scan backend, default sample rate).
+    /// scheme, default sample rate).
     pub fn new() -> Self {
         Self::default()
     }
@@ -123,12 +122,6 @@ impl IndexBuilder {
     /// Checkpoint (rank directory) scheme.
     pub fn checkpoints(mut self, scheme: CheckpointScheme) -> Self {
         self.options = self.options.checkpoints(scheme);
-        self
-    }
-
-    /// In-block scan backend.
-    pub fn backend(mut self, backend: ScanBackend) -> Self {
-        self.options = self.options.backend(backend);
         self
     }
 

@@ -24,7 +24,7 @@
 //! requests, so the prefix bytes can serve as a cache or grouping key.
 //!
 //! Deliberately **not** on the wire: the fault-injection plan (a test-only
-//! compile feature) and anything machine-specific (scan backends).
+//! compile feature).
 
 use crate::search::{
     EngineCounters, EngineKind, SearchError, SearchHit, SearchRequest, SearchResponse, Termination,

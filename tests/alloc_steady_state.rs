@@ -16,9 +16,9 @@
 //! The whole check lives in a single `#[test]` so no sibling test thread
 //! can contribute allocator traffic to the measured windows.
 //!
-//! This is the one file outside `crates/suffix/src/simd.rs` allowed to
-//! contain `unsafe`: implementing `GlobalAlloc` requires it.  The allowance
-//! is scoped and the lint script pins it.
+//! This is the one test file allowed to contain `unsafe`: implementing
+//! `GlobalAlloc` requires it.  The allowance is scoped, and `alae-lint`
+//! (`lint.toml` `[unsafe] allowed`) pins it.
 #![allow(unsafe_code)]
 
 use alae::bioseq::{Alphabet, ScoringScheme, Sequence, SequenceDatabase};

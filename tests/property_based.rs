@@ -461,13 +461,17 @@ fn alae_counters_are_internally_consistent() {
 }
 
 #[test]
-fn scan_backends_agree_through_the_text_index() {
-    // The SIMD dispatch must be invisible end-to-end: for every
-    // (layout × checkpoint scheme × backend) combination, over random and
-    // separator-heavy texts, a forced-SIMD index and a forced-SWAR index
-    // report identical trie expansions, identical occurrence sets, and
-    // identical scan-counter values (the numbers BENCH_rank.json gates).
-    use alae::suffix::ScanBackend;
+fn text_index_matches_naive_counts_for_every_layout_and_scheme() {
+    // The occurrence layer is exact end to end: for every (layout ×
+    // checkpoint scheme) combination, over plain and separator-heavy texts,
+    // every trie node down to depth 3 has exactly the children a naive
+    // substring count predicts (each child's SA-range width is the number of
+    // occurrences of its string), and `find_occurrences` equals a naive scan.
+    let naive = |text: &[u8], pattern: &[u8]| -> Vec<usize> {
+        (0..=text.len().saturating_sub(pattern.len()))
+            .filter(|&i| text[i..].starts_with(pattern))
+            .collect()
+    };
     let mut g = Gen::new(0x5eed_51f0);
     for (code_count, layout) in [
         (5usize, RankLayout::PackedDna),
@@ -486,46 +490,44 @@ fn scan_backends_agree_through_the_text_index() {
                         text.push((g.next() % (code_count as u64 - 1)) as u8 + 1);
                     }
                 }
-                let reference = IndexOptions::new()
+                let index = IndexOptions::new()
                     .layout(layout)
                     .checkpoints(scheme)
-                    .backend(ScanBackend::Swar)
                     .build_text_index(text.clone(), code_count);
-                let simd = IndexOptions::new()
-                    .layout(layout)
-                    .checkpoints(scheme)
-                    .backend(ScanBackend::Simd)
-                    .build_text_index(text.clone(), code_count);
-                // DFS over the top of the trie: identical children at every
-                // node (ranges and labels), so identical walks everywhere.
-                let mut buf_ref = ChildBuf::new();
-                let mut buf_simd = ChildBuf::new();
-                let mut stack = vec![reference.root()];
+                let context =
+                    format!("layout {layout:?} scheme {scheme:?} separators {separator_heavy}");
+                let mut buf = ChildBuf::new();
+                let mut stack = vec![(index.root(), Vec::new())];
                 let mut nodes = 0;
-                while let Some(cursor) = stack.pop() {
-                    reference.children_into(cursor, &mut buf_ref);
-                    simd.children_into(cursor, &mut buf_simd);
-                    assert_eq!(
-                        buf_ref.as_slice(),
-                        buf_simd.as_slice(),
-                        "layout {layout:?} scheme {scheme:?} separators {separator_heavy}"
-                    );
+                while let Some((cursor, string)) = stack.pop() {
+                    index.children_into(cursor, &mut buf);
+                    for code in 1..code_count as u8 {
+                        let mut child_string = string.clone();
+                        child_string.push(code);
+                        let expected = naive(&text, &child_string).len();
+                        let width = buf
+                            .iter()
+                            .find(|&&(label, _)| label == code)
+                            .map_or(0, |&(_, child)| child.occurrence_count());
+                        assert_eq!(width, expected, "{context} string {child_string:?}");
+                    }
                     nodes += 1;
                     if cursor.depth < 3 {
-                        stack.extend(buf_ref.iter().map(|&(_, child)| child));
+                        stack.extend(buf.iter().map(|&(code, child)| {
+                            let mut child_string = string.clone();
+                            child_string.push(code);
+                            (child, child_string)
+                        }));
                     }
                 }
                 assert!(nodes > 1);
-                // Identical occurrence sets for a sampled substring.
                 let start = g.range(0, text.len() - 8);
                 let pattern = text[start..start + 6].to_vec();
                 assert_eq!(
-                    reference.find_occurrences(&pattern),
-                    simd.find_occurrences(&pattern)
+                    index.find_occurrences(&pattern),
+                    naive(&text, &pattern),
+                    "{context}"
                 );
-                // Scan accounting is backend-independent — the exact counts
-                // the BENCH_rank.json gate tracks.
-                assert_eq!(reference.scan_snapshot(), simd.scan_snapshot());
             }
         }
     }

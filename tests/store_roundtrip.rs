@@ -206,3 +206,33 @@ fn save_into_missing_directory_is_io_error() {
     assert!(matches!(result, Err(StoreError::Io(_))));
     assert!(!built.queries.is_empty());
 }
+
+/// Re-saving over the path of an open (memory-mapped) index must not pull
+/// the file out from under its reader: the old reader keeps answering from
+/// its own index, and a fresh open sees the new one.
+#[test]
+fn resaving_over_an_open_index_leaves_its_reader_intact() {
+    let (builder, built) = workload(Alphabet::Dna, 40_000, 0x5a5e);
+    let old = builder.index(built.database);
+    let path = temp_path("resave");
+    old.save(&path).expect("save");
+    let reader = IndexedDatabase::open(&path).expect("open");
+
+    let (builder, replacement) = workload(Alphabet::Dna, 600, 0x5a5f);
+    let new = builder.index(replacement.database);
+    new.save(&path).expect("re-save over the open index");
+
+    let request = SearchRequest::with_threshold(ScoringScheme::DEFAULT, 12);
+    let mut hits = 0;
+    for query in &built.queries {
+        let expected = Searcher::new(old.clone(), request).search(query);
+        let got = Searcher::new(reader.clone(), request).search(query);
+        assert_eq!(got.hits, expected.hits, "the old reader lost its index");
+        hits += got.hits.len();
+    }
+    assert!(hits > 0, "the queries must exercise the old index");
+    let reopened = IndexedDatabase::open(&path).expect("open the new file");
+    assert_eq!(reopened.text_len(), new.text_len());
+    assert_ne!(reopened.text_len(), old.text_len());
+    fs::remove_file(&path).ok();
+}
